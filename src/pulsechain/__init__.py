@@ -13,9 +13,9 @@ from .detector import DetectorParams, detect, undershoot_fraction
 from .envelope import (CircuitParams, GatePulse, control_voltage_for_tau,
                        generate_envelope, shockley_current, simulate_circuit,
                        tau_from_control_voltage)
-from .eom import (ModulatorParams, OpticalField, bessel_j,
-                  decompose_sidebands, distortion_fraction, phase_modulate,
-                  reconstruct_from_orders, sideband_amplitude)
+from .eom import (ModulatorParams, bessel_j, decompose_sidebands,
+                  distortion_fraction, phase_modulate, reconstruct_from_orders,
+                  sideband_amplitude)
 from .errors import FitError, LeakageWarning, ValidationError
 from .etalon import (EtalonParams, EtalonStack, airy_transmission,
                      carrier_leak, filter_pulse, finesse, fwhm_hz,
@@ -42,7 +42,7 @@ __all__ = [
     "CircuitParams", "GatePulse", "control_voltage_for_tau",
     "generate_envelope", "shockley_current", "simulate_circuit",
     "tau_from_control_voltage",
-    "ModulatorParams", "OpticalField", "bessel_j", "decompose_sidebands",
+    "ModulatorParams", "bessel_j", "decompose_sidebands",
     "distortion_fraction", "phase_modulate", "reconstruct_from_orders",
     "sideband_amplitude",
     "FitError", "LeakageWarning", "ValidationError",

@@ -1,73 +1,28 @@
-"""Backend selection for the two sequential inner loops.
+"""numpy kernels for the two sequential inner loops.
 
 The transistor-envelope state loop and the RK4 excitation scan cannot be
-vectorized across time (each sample depends on the previous state), so they
-carry numba @njit kernels.  Functionally equivalent numpy implementations
-exist for both; set PULSECHAIN_NUMBA=0 to select them.  Both variants stay
-importable regardless of the flag so the agreement tests and
-benchmarks/bench_kernels.py can compare them directly.
+vectorized across time (each sample depends on the previous state).  The
+envelope loop is vectorized per gate segment instead, and the scan
+precomputes its forcing vectorized so that only a first-order complex
+recurrence runs as a Python loop.
 """
 
 import math
-import os
 
 import numpy as np
 
-_flag = os.environ.get("PULSECHAIN_NUMBA", "1").strip().lower()
-_want_numba = _flag not in ("0", "false", "off", "no")
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-NUMBA_ENABLED = HAVE_NUMBA and _want_numba
+BACKEND = "numpy"
 
 
 # ---------------------------------------------------------------------------
 # transistor envelope loop
 # ---------------------------------------------------------------------------
 
-def _envelope_loop_impl(n, dt, i_on, i_off, slope, v_t, i0, i_c_max,
-                        v_out_max, load, discharge_tau):
-    # State variable is the base-emitter voltage: linear charge while a gate
-    # is active, exponential discharge otherwise.  Output is routed to the
-    # load only while active and is identically zero otherwise.
-    v_be = np.zeros(n)
-    v_out = np.zeros(n)
-    arg_max = math.log1p(i_c_max / i0)
-    decay = math.exp(-dt / discharge_tau)
-    v = 0.0
-    g = 0
-    n_gates = len(i_on)
-    for i in range(n):
-        while g < n_gates and i > i_off[g]:
-            g += 1
-        active = g < n_gates and i_on[g] <= i <= i_off[g]
-        v_be[i] = v
-        if active:
-            arg = v / v_t
-            if arg >= arg_max:
-                ic = i_c_max
-            else:
-                ic = i0 * math.expm1(arg)
-                if ic > i_c_max:
-                    ic = i_c_max
-            vo = load * ic
-            if vo > v_out_max:
-                vo = v_out_max
-            v_out[i] = vo
-            v = v + slope * dt
-        else:
-            v = v * decay
-    return v_be, v_out
-
-
-def envelope_loop_numpy(n, dt, i_on, i_off, slope, v_t, i0, i_c_max,
-                        v_out_max, load, discharge_tau):
-    """Segment-vectorized equivalent of the per-sample envelope kernel."""
+def envelope_loop(n, dt, i_on, i_off, slope, v_t, i0, i_c_max, v_out_max,
+                  load, discharge_tau):
+    """Base-emitter voltage and output of the shaper, one gate segment at a
+    time: a linear charge while a gate is active (output routed to the load),
+    exponential discharge otherwise (output identically zero)."""
     v_be = np.zeros(n)
     v_out = np.zeros(n)
     arg_max = math.log1p(i_c_max / i0)
@@ -112,8 +67,8 @@ def _rk4_step(c, h, a, b, f0, fm, f1):
     return c + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def excite_scan_numpy(xi, dt, a, b):
-    """Vectorized-forcing equivalent of the RK4 scan.
+def excite_scan(xi, dt, a, b):
+    """RK4 amplitude scan with vectorized forcing.
 
     For a linear ODE the RK4 update is c_{k+1} = P*c_k + F_k with constant
     propagator P and a forcing F_k that is a fixed linear combination of the
@@ -159,45 +114,3 @@ def excite_scan_numpy(xi, dt, a, b):
         fme = (-y0 + 6.0 * y1 + 3.0 * y2) / 8.0
         c[n - 1] = p1 * c[n - 2] + (b0 * y1 + b1 * fme + b2 * y2)
     return c
-
-
-if HAVE_NUMBA:
-    envelope_loop_numba = njit(cache=True)(_envelope_loop_impl)
-    _rk4_step_nb = njit(cache=True, inline="always")(_rk4_step)
-
-    @njit(cache=True)
-    def excite_scan_numba(xi, dt, a, b):
-        n = len(xi)
-        c = np.zeros(n, dtype=np.complex128)
-        if n == 2:
-            fm = 0.5 * (xi[0] + xi[1])
-            c[1] = _rk4_step_nb(c[0], dt, a, b, xi[0], fm, xi[1])
-            return c
-        i = 0
-        while i + 2 <= n - 1:
-            x0 = xi[i]
-            x1 = xi[i + 1]
-            x2 = xi[i + 2]
-            fm = (3.0 * x0 + 6.0 * x1 - x2) / 8.0
-            c[i + 1] = _rk4_step_nb(c[i], dt, a, b, x0, fm, x1)
-            c[i + 2] = _rk4_step_nb(c[i], 2.0 * dt, a, b, x0, x1, x2)
-            i += 2
-        if i == n - 2:
-            x0 = xi[n - 3]
-            x1 = xi[n - 2]
-            x2 = xi[n - 1]
-            fm = (-x0 + 6.0 * x1 + 3.0 * x2) / 8.0
-            c[n - 1] = _rk4_step_nb(c[n - 2], dt, a, b, x1, fm, x2)
-        return c
-else:  # pragma: no cover
-    envelope_loop_numba = None
-    excite_scan_numba = None
-
-if NUMBA_ENABLED:
-    envelope_loop = envelope_loop_numba
-    excite_scan = excite_scan_numba
-    BACKEND = "numba"
-else:
-    envelope_loop = envelope_loop_numpy
-    excite_scan = excite_scan_numpy
-    BACKEND = "numpy"

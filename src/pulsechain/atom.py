@@ -13,7 +13,8 @@ unit-energy shape does worse.  Full Bloch saturation dynamics are out of
 scope.
 
 Integrator: classical fixed-step RK4 run with step 2*dt so that every stage
-lands on a grid sample (see _accel).
+lands on a grid sample; _accel.excite_scan runs it as a first-order linear
+recurrence with precomputed forcing.
 """
 
 from dataclasses import dataclass

@@ -268,6 +268,8 @@ def _build(merged, stage_overrides):
     n_orders = val("eom", "n_orders")
     if n_orders < 1:
         raise ValidationError("config [eom]: n_orders must be >= 1")
+    if val("run", "seed") < 0:
+        raise ValidationError("config [run]: seed must be >= 0")
 
     return ChainConfig(
         grid=grid, circuit=circuit, gate=gate, dds=dds, bandpass=bandpass,

@@ -59,16 +59,10 @@ class CircuitParams:
 
 @dataclass(frozen=True)
 class GatePulse:
-    """Digital control pulse: active for t_on <= t <= t_on + duration.
-
-    The two logic levels are bookkeeping (NIM-style -1 V active / 0 V
-    passive); the model only uses the on/off interval.
-    """
+    """Digital control pulse: active for t_on <= t <= t_on + duration."""
 
     t_on: float
     duration: float
-    active_level: float = -1.0
-    passive_level: float = 0.0
 
     def __post_init__(self):
         if not (self.duration > 0 and np.isfinite(self.duration)):

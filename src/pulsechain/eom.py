@@ -32,19 +32,6 @@ class ModulatorParams:
             raise ValidationError("ModulatorParams.drive_scale must be > 0")
 
 
-@dataclass(frozen=True)
-class OpticalField:
-    """Unit-power optical field as a complex envelope about a labeled carrier."""
-
-    carrier_hz_label: float
-    envelope: Waveform
-    sideband_index_map: dict | None = None
-
-    def __post_init__(self):
-        if self.envelope.norm2() == 0.0:
-            raise ValidationError("OpticalField must carry finite energy")
-
-
 def bessel_j(order, z):
     """Bessel function of the first kind by its ascending power series.
 
@@ -96,8 +83,7 @@ def distortion_fraction(v_rf_over_v_pi):
     return float(out[0]) if np.isscalar(v_rf_over_v_pi) else out
 
 
-def phase_modulate(drive: Waveform, m: ModulatorParams,
-                   carrier_hz_label=0.0) -> OpticalField:
+def phase_modulate(drive: Waveform, m: ModulatorParams) -> Waveform:
     """Pure phase modulation: envelope(t) = exp(i pi drive_scale v(t)/v_pi).
 
     The output has exactly unit magnitude at every sample (power conserved).
@@ -115,15 +101,13 @@ def phase_modulate(drive: Waveform, m: ModulatorParams,
                                 one_pole_lowpass(m.bandwidth_hz))
         v = shaped.samples.real
     env = np.exp(1j * np.pi * v / m.v_pi)
-    return OpticalField(carrier_hz_label=carrier_hz_label,
-                        envelope=Waveform(grid=drive.grid, samples=env,
-                                          unit="sqrtW"))
+    return Waveform(grid=drive.grid, samples=env, unit="sqrtW")
 
 
 _DEMOD_REL_WIDTH = 0.17  # Gaussian half-width as a fraction of f_s
 
 
-def decompose_sidebands(field: OpticalField, f_s, n_orders):
+def decompose_sidebands(env: Waveform, f_s, n_orders):
     """Split a phase-modulated field into per-order envelopes.
 
     Order k is demodulated at k*f_s and low-passed with a Gaussian window
@@ -135,7 +119,6 @@ def decompose_sidebands(field: OpticalField, f_s, n_orders):
     """
     if n_orders < 1:
         raise ValidationError("decompose_sidebands: n_orders must be >= 1")
-    env = field.envelope
     t = env.times()
     out = []
     for k in range(-n_orders, n_orders + 1):

@@ -55,6 +55,7 @@ class TestValidation:
             ("[atom]\nlambda_overlap = 1.5\n", "atom"),
             ("[eom]\nn_orders = 0\n", "eom"),
             ("[dds]\nf_tune_mhz = 400\n", "dds"),
+            ("[run]\nseed = -1\n", "run"),
         ]
         for text, section in cases:
             with pytest.raises(ValidationError, match=section):

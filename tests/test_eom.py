@@ -86,20 +86,20 @@ class TestPhaseModulate:
     def test_no_drive_gives_unit_carrier(self):
         drive = Waveform(grid=GRID, samples=np.zeros(GRID.n_samples), unit="V")
         field = phase_modulate(drive, ModulatorParams())
-        assert np.all(field.envelope.samples == 1.0)
+        assert np.all(field.samples == 1.0)
 
     def test_power_conserved_exactly(self):
         rng = np.random.default_rng(6)
         drive = Waveform(grid=GRID, samples=rng.uniform(-1, 1, GRID.n_samples),
                          unit="V")
         field = phase_modulate(drive, ModulatorParams())
-        mag2 = np.abs(field.envelope.samples) ** 2
+        mag2 = np.abs(field.samples) ** 2
         assert abs(mag2.mean() - 1.0) < 1e-14
         assert np.max(np.abs(mag2 - 1.0)) < 1e-13
 
     def test_carrier_amplitude_j0_pi(self):
         field = phase_modulate(cw_drive(1.0), ModulatorParams())
-        s = to_spectrum(field.envelope)
+        s = to_spectrum(field)
         k0 = np.argmin(np.abs(s.frequencies()))
         carrier = s.amplitudes[k0] / np.sqrt(GRID.n_samples)
         assert carrier.real == pytest.approx(J0_PI, abs=1e-9)
@@ -107,7 +107,7 @@ class TestPhaseModulate:
 
     def test_first_sideband_j1(self):
         field = phase_modulate(cw_drive(0.1), ModulatorParams())
-        s = to_spectrum(field.envelope)
+        s = to_spectrum(field)
         k = np.argmin(np.abs(s.frequencies() - F_S))
         amp = abs(s.amplitudes[k]) / np.sqrt(GRID.n_samples)
         assert amp == pytest.approx(J1_01PI, abs=1e-9)
@@ -184,7 +184,7 @@ class TestDecompose:
         field = phase_modulate(cw_drive(0.2), ModulatorParams())
         orders = decompose_sidebands(field, F_S, 3)
         rec = reconstruct_from_orders(orders, F_S, GRID)
-        err = np.sqrt(np.mean(np.abs(rec.samples - field.envelope.samples) ** 2))
+        err = np.sqrt(np.mean(np.abs(rec.samples - field.samples) ** 2))
         assert err < 0.01
 
     def test_invalid_order_count(self):
@@ -197,7 +197,7 @@ class TestBandwidthRolloff:
     def test_rolloff_attenuates_drive(self):
         m = ModulatorParams(bandwidth_hz=1.5e9, apply_bandwidth_rolloff=True)
         field = phase_modulate(cw_drive(0.1), m)
-        s = to_spectrum(field.envelope)
+        s = to_spectrum(field)
         k = np.argmin(np.abs(s.frequencies() - F_S))
         amp = abs(s.amplitudes[k]) / np.sqrt(GRID.n_samples)
         # drive at exactly the one-pole corner: amplitude scales by 1/sqrt(2)

@@ -13,9 +13,9 @@ from .detector import DetectorParams, detect, undershoot_fraction
 from .envelope import (CircuitParams, GatePulse, control_voltage_for_tau,
                        generate_envelope, shockley_current, simulate_circuit,
                        tau_from_control_voltage)
-from .eom import (ModulatorParams, bessel_j, decompose_sidebands,
+from .eom import (ModulatorParams, bessel_j, decompose_sidebands, demodulate,
                   distortion_fraction, phase_modulate, reconstruct_from_orders,
-                  sideband_amplitude)
+                  sideband_amplitude, sideband_window)
 from .errors import FitError, LeakageWarning, ValidationError
 from .etalon import (EtalonParams, EtalonStack, airy_transmission,
                      carrier_leak, filter_pulse, finesse, fwhm_hz,
@@ -27,9 +27,9 @@ from .rfchain import (BandpassSpec, DdsParams, MixerParams, apply_bandpass,
                       dds_tones, dominant_tone, frequency_double,
                       frequency_quadruple, mix_envelope)
 from .waveform import (FitResult, Spectrum, TimeGrid, Waveform,
-                       analytic_envelope, apply_transfer, fit_exponential,
-                       from_spectrum, one_pole_lowpass, read_trace,
-                       to_spectrum, write_trace)
+                       analytic_envelope, apply_transfer, filter_spectrum,
+                       fit_exponential, from_spectrum, one_pole_lowpass,
+                       read_trace, to_spectrum, write_trace)
 
 __all__ = [
     "__version__",
@@ -42,9 +42,9 @@ __all__ = [
     "CircuitParams", "GatePulse", "control_voltage_for_tau",
     "generate_envelope", "shockley_current", "simulate_circuit",
     "tau_from_control_voltage",
-    "ModulatorParams", "bessel_j", "decompose_sidebands",
+    "ModulatorParams", "bessel_j", "decompose_sidebands", "demodulate",
     "distortion_fraction", "phase_modulate", "reconstruct_from_orders",
-    "sideband_amplitude",
+    "sideband_amplitude", "sideband_window",
     "FitError", "LeakageWarning", "ValidationError",
     "EtalonParams", "EtalonStack", "airy_transmission", "carrier_leak",
     "filter_pulse", "finesse", "fwhm_hz", "photon_lifetime",
@@ -54,6 +54,7 @@ __all__ = [
     "BandpassSpec", "DdsParams", "MixerParams", "apply_bandpass", "dds_tones",
     "dominant_tone", "frequency_double", "frequency_quadruple", "mix_envelope",
     "FitResult", "Spectrum", "TimeGrid", "Waveform", "analytic_envelope",
-    "apply_transfer", "fit_exponential", "from_spectrum", "one_pole_lowpass",
+    "apply_transfer", "filter_spectrum", "fit_exponential", "from_spectrum",
+    "one_pole_lowpass",
     "read_trace", "to_spectrum", "write_trace",
 ]

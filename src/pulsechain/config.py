@@ -10,6 +10,7 @@ normalized number formatting) so identical configs hash identically.
 import configparser
 import hashlib
 import io
+import math
 import re
 from dataclasses import dataclass
 
@@ -45,7 +46,7 @@ _SCHEMA = {
     "mixer": [("conversion_gain", "f", "1.0"), ("lo_leak_db", "inf", "-40.0"),
               ("if_leak_db", "inf", "-40.0")],
     "eom": [("v_pi_v", "f", "1.7"), ("drive_scale", "f", "0.29"),
-            ("n_orders", "i", "3"), ("bandwidth_ghz", "f", "20.0"),
+            ("bandwidth_ghz", "f", "20.0"),
             ("apply_bandwidth_rolloff", "b", "false")],
     "etalon": [("n_stages", "i", "3"), ("reflectivity", "f", "0.95"),
                ("fsr_ghz", "f", "17.0"), ("detuning_mhz", "f", "0.0"),
@@ -63,6 +64,7 @@ _SCHEMA = {
 
 
 def _parse_number(section, key, raw, kind):
+    """One scalar value; NaN is never accepted, +-inf only by kind ``inf``."""
     raw = raw.strip()
     try:
         if kind == "i":
@@ -80,11 +82,10 @@ def _parse_number(section, key, raw, kind):
             if low in ("false", "no", "off", "0"):
                 return False
             raise ValueError("expected a boolean")
-        if kind == "inf":
-            if raw.lower() in ("inf", "+inf", "infinity"):
-                return float("inf")
-            return float(raw)
-        return float(raw)
+        f = float(raw)
+        if math.isnan(f) or (math.isinf(f) and kind != "inf"):
+            raise ValueError("expected a finite number")
+        return f
     except ValueError as exc:
         raise ValidationError(f"config [{section}] {key} = {raw!r}: {exc}") from None
 
@@ -129,7 +130,6 @@ class ChainConfig:
     bandpass: BandpassSpec
     mixer: MixerParams
     eom: ModulatorParams
-    eom_n_orders: int
     etalon: EtalonStack
     apply_temp_jitter: bool
     detector: DetectorParams
@@ -250,7 +250,7 @@ def _build(merged, stage_overrides):
         bandwidth_hz=val("detector", "bandwidth_ghz") * 1e9,
         scope_bandwidth_hz=val("detector", "scope_bandwidth_ghz") * 1e9,
         responsivity=val("detector", "responsivity")))
-    if val("atom", "excited_lifetime_ns") <= 0:
+    if not (val("atom", "excited_lifetime_ns") > 0):
         raise ValidationError("config [atom]: excited_lifetime_ns must be > 0")
     atom = section_guard("atom", lambda: AtomParams(
         gamma=1.0 / (val("atom", "excited_lifetime_ns") * 1e-9),
@@ -265,15 +265,12 @@ def _build(merged, stage_overrides):
             kv["etalon"][f"stage{idx}_{name}"] = _canon(
                 stage_overrides[idx][name], "f")
 
-    n_orders = val("eom", "n_orders")
-    if n_orders < 1:
-        raise ValidationError("config [eom]: n_orders must be >= 1")
     if val("run", "seed") < 0:
         raise ValidationError("config [run]: seed must be >= 0")
 
     return ChainConfig(
         grid=grid, circuit=circuit, gate=gate, dds=dds, bandpass=bandpass,
-        mixer=mixer, eom=eom, eom_n_orders=n_orders, etalon=etalon_stack,
+        mixer=mixer, eom=eom, etalon=etalon_stack,
         apply_temp_jitter=val("etalon", "apply_temp_jitter"),
         detector=detector, atom=atom,
         run_excitation=val("atom", "run_excitation"),

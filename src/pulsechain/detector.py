@@ -2,9 +2,11 @@
 
 Power detection squares the optical amplitude, which exactly halves fitted
 exponential time constants; diode and scope are each modeled as one-pole
-low-passes of their nominal bandwidths (None or inf disables a pole).
+low-passes of their nominal bandwidths (None or inf disables a pole),
+applied together as one product response.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +39,10 @@ def detect(field: Waveform, d: DetectorParams) -> Waveform:
     """
     power = d.responsivity * np.abs(field.samples) ** 2
     out = Waveform(grid=field.grid, samples=power, unit="V")
-    for bw in (d.bandwidth_hz, d.scope_bandwidth_hz):
-        if bw is not None and np.isfinite(bw):
-            out = apply_transfer(out, one_pole_lowpass(bw))
+    poles = [one_pole_lowpass(bw) for bw in (d.bandwidth_hz, d.scope_bandwidth_hz)
+             if bw is not None and np.isfinite(bw)]
+    if poles:
+        out = apply_transfer(out, lambda f: math.prod(p(f) for p in poles))
     return Waveform(grid=out.grid, samples=out.samples.real, unit="V")
 
 

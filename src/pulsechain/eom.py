@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .waveform import (Spectrum, Waveform, apply_transfer, from_spectrum,
-                       one_pole_lowpass, to_spectrum)
+from .waveform import Waveform, apply_transfer, one_pole_lowpass
 
 
 @dataclass(frozen=True)
@@ -107,32 +106,38 @@ def phase_modulate(drive: Waveform, m: ModulatorParams) -> Waveform:
 _DEMOD_REL_WIDTH = 0.17  # Gaussian half-width as a fraction of f_s
 
 
+def demodulate(env: Waveform, f_shift) -> Waveform:
+    """Shift a field down in frequency: env(t) exp(-i 2 pi f_shift t)."""
+    t = env.times()
+    return Waveform(grid=env.grid,
+                    samples=env.samples * np.exp(-2j * np.pi * f_shift * t),
+                    unit=env.unit)
+
+
+def sideband_window(f_s):
+    """Gaussian low-pass H(f) that keeps one demodulated sideband.
+
+    Half-power point at 0.17*f_s, adjacent-order rejection ~4e-11 in
+    amplitude.  A Gaussian rings nowhere and passes exponential envelopes
+    shape-exact, unlike a brick wall whose sinc tails would smear a sharp
+    pulse cutoff across the trace.
+    """
+    width = _DEMOD_REL_WIDTH * f_s
+    return lambda f: np.exp(-np.log(2.0) * (f / width) ** 2)
+
+
 def decompose_sidebands(env: Waveform, f_s, n_orders):
     """Split a phase-modulated field into per-order envelopes.
 
-    Order k is demodulated at k*f_s and low-passed with a Gaussian window
-    (half-power point at 0.17*f_s, adjacent-order rejection ~4e-11 in
-    amplitude).  A Gaussian rings nowhere and passes exponential envelopes
-    shape-exact, unlike a brick wall whose sinc tails would smear a sharp
-    pulse cutoff across the trace.  Returns [(k, Waveform)] for
+    Order k is demodulated at k*f_s and low-passed with
+    :func:`sideband_window`.  Returns [(k, Waveform)] for
     k = -n_orders..+n_orders.
     """
     if n_orders < 1:
         raise ValidationError("decompose_sidebands: n_orders must be >= 1")
-    t = env.times()
-    out = []
-    for k in range(-n_orders, n_orders + 1):
-        dem = env.samples * np.exp(-2j * np.pi * (k * f_s) * t)
-        spec = to_spectrum(Waveform(grid=env.grid, samples=dem, unit=env.unit))
-        f = spec.frequencies()
-        gain = np.exp(-np.log(2.0) * (f / (_DEMOD_REL_WIDTH * f_s)) ** 2)
-        w = from_spectrum(
-            Spectrum(carrier_hz=spec.carrier_hz, df=spec.df,
-                     amplitudes=gain * spec.amplitudes,
-                     f_offset_start=spec.f_offset_start),
-            t_start=env.grid.t_start)
-        out.append((k, Waveform(grid=env.grid, samples=w.samples, unit=env.unit)))
-    return out
+    window = sideband_window(f_s)
+    return [(k, apply_transfer(demodulate(env, k * f_s), window))
+            for k in range(-n_orders, n_orders + 1)]
 
 
 def reconstruct_from_orders(orders, f_s, grid):

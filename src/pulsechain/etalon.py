@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LeakageWarning, ValidationError
-from .waveform import Waveform, apply_transfer, to_spectrum
+from .waveform import Waveform, filter_spectrum, to_spectrum
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class EtalonParams:
             raise ValidationError("EtalonParams.loss must be in [0, 1)")
         if not (self.temp_per_fsr_k > 0):
             raise ValidationError("EtalonParams.temp_per_fsr_k must be > 0")
-        if self.temp_jitter_k < 0:
+        if not (self.temp_jitter_k >= 0):
             raise ValidationError("EtalonParams.temp_jitter_k must be >= 0")
         if not np.isfinite(self.detuning_hz):
             raise ValidationError("EtalonParams.detuning_hz must be finite")
@@ -80,7 +80,8 @@ def airy_transmission(f_offset, e: EtalonParams):
     f = np.asarray(f_offset, dtype=float)
     delta = 2.0 * np.pi * (f + e.detuning_hz) / e.fsr_hz
     r = e.reflectivity
-    t = (1.0 - r) * np.exp(-0.5j * delta) / (1.0 - r * (1.0 - e.loss) * np.exp(-1j * delta))
+    half = np.exp(-0.5j * delta)   # e^{-i delta} is its square: one exp, not two
+    t = (1.0 - r) * half / (1.0 - r * (1.0 - e.loss) * (half * half))
     return complex(t) if np.isscalar(f_offset) else t
 
 
@@ -96,10 +97,17 @@ def stack_transmission(f_offset, s: EtalonStack):
 def finesse(e: EtalonParams):
     """Exact finesse pi / (2 asin((1-rho)/(2 sqrt(rho)))), rho = R(1-loss).
 
-    Approaches the textbook pi*sqrt(R)/(1-R) for high reflectivity.
+    Approaches the textbook pi*sqrt(R)/(1-R) for high reflectivity.  Below
+    rho = 3 - 2 sqrt(2) ~ 0.172 the Airy contrast is under 2, the line never
+    falls to half its peak, and the finesse is undefined (ValidationError).
     """
     rho = e.reflectivity * (1.0 - e.loss)
-    return np.pi / (2.0 * np.arcsin((1.0 - rho) / (2.0 * np.sqrt(rho))))
+    x = (1.0 - rho) / (2.0 * np.sqrt(rho))
+    if x > 1.0:
+        raise ValidationError(
+            f"line width undefined: R(1-loss) = {rho:.6g} < 3-2*sqrt(2), so "
+            f"the Airy contrast is below 2 and |t|^2 has no half-power points")
+    return np.pi / (2.0 * np.arcsin(x))
 
 
 def fwhm_hz(e: EtalonParams):
@@ -145,37 +153,52 @@ def with_thermal_jitter(s: EtalonStack, rng):
     return EtalonStack(stages=tuple(stages))
 
 
-def filter_pulse(field_order_k: Waveform, s: EtalonStack) -> Waveform:
+def filter_pulse(field: Waveform, s: EtalonStack, pre_gain=None) -> Waveform:
     """Send a (sideband-centered) envelope through the cascade.
 
-    The input's spectral support must sit within +-FSR/2 of the stack's
-    transmission peak; if more than 1% of the energy lies outside that band a
-    LeakageWarning is emitted (neighbouring FSR orders would alias through).
+    ``pre_gain`` is an optional frequency response H(f) applied before the
+    cascade in the same spectral pass (one forward and one inverse
+    transform), e.g. :func:`pulsechain.eom.sideband_window` on a demodulated
+    modulator output.  The spectral support that reaches the cascade must sit
+    within +-FSR/2 of the stack's transmission peak nearest zero offset; if
+    more than 1% of its energy lies outside that band a LeakageWarning is
+    emitted (neighbouring FSR orders would alias through).
     """
-    spec = to_spectrum(field_order_k)
+    spec = to_spectrum(field)
     f = spec.frequencies()
-    power = np.abs(spec.amplitudes) ** 2
+    h = stack_transmission(f, s)
+    pre = 1.0 if pre_gain is None else pre_gain(f)
+    power = np.abs(pre * spec.amplitudes) ** 2
     total = power.sum()
     if total > 0:
-        mag = np.abs(stack_transmission(f, s))
-        peak_f = f[int(np.argmax(mag))]
+        # the transmission peak nearest the sideband: with FSR below the
+        # grid bandwidth, equal peaks repeat across the spectrum
+        near = np.abs(f) <= s.min_fsr_hz / 2.0
+        peak_f = f[near][int(np.argmax(np.abs(h[near])))]
         inside = np.abs(f - peak_f) <= s.min_fsr_hz / 2.0
         outside_frac = float(power[~inside].sum() / total)
         if outside_frac > 0.01:
             warnings.warn(
                 f"{outside_frac:.1%} of pulse energy lies beyond +-FSR/2 of "
                 f"the cascade transmission peak", LeakageWarning, stacklevel=2)
-    return apply_transfer(field_order_k, lambda fr: stack_transmission(fr, s))
+    return filter_spectrum(spec, pre * h, field.grid, field.unit)
 
 
 def stage_diagnostics(s: EtalonStack, carrier_offset_hz):
-    """Per-stage line summaries plus the cascade extinction at the carrier."""
+    """Per-stage line summaries plus the cascade extinction at the carrier.
+
+    A stage whose line has no half-power width (see :func:`finesse`) reports
+    ``fwhm_hz`` and ``finesse`` as None with the reason in ``fwhm_error``.
+    """
     per_stage = []
     for e in s.stages:
         leak = carrier_leak(e, carrier_offset_hz)
+        try:
+            line = {"fwhm_hz": float(fwhm_hz(e)), "finesse": float(finesse(e))}
+        except ValidationError as exc:
+            line = {"fwhm_hz": None, "finesse": None, "fwhm_error": str(exc)}
         per_stage.append({
-            "fwhm_hz": float(fwhm_hz(e)),
-            "finesse": float(finesse(e)),
+            **line,
             "carrier_leak_fraction": float(leak),
             "carrier_leak_db": float(-10.0 * np.log10(leak)),
         })

@@ -17,7 +17,7 @@ from .atom import excite
 from .config import ChainConfig, config_sha256, set_config_value
 from .detector import detect, undershoot_fraction
 from .envelope import simulate_circuit, tau_from_control_voltage
-from .eom import distortion_fraction, bessel_j, decompose_sidebands, phase_modulate
+from .eom import bessel_j, demodulate, distortion_fraction, phase_modulate, sideband_window
 from .errors import FitError, ValidationError
 from .etalon import filter_pulse, photon_lifetime, stage_diagnostics, with_thermal_jitter
 from .rfchain import apply_bandpass, dds_tones, dominant_tone, frequency_quadruple, mix_envelope
@@ -42,7 +42,7 @@ class RunReport:
     data: dict
 
     def to_json(self):
-        return json.dumps(self.data, indent=2) + "\n"
+        return json.dumps(self.data, indent=2, allow_nan=False) + "\n"
 
     def to_text(self):
         lines = ["pulsechain run report"]
@@ -152,9 +152,9 @@ def run_chain(cfg: ChainConfig, outdir=None) -> RunReport:
 
         x_peak = cfg.eom.drive_scale * float(np.max(np.abs(rf.samples.real))) / cfg.eom.v_pi
         field = _stage("eom", lambda: phase_modulate(rf, cfg.eom))
-        orders = _stage("eom", lambda: decompose_sidebands(
-            field, f_s, cfg.eom_n_orders))
-        sideband = dict(orders)[1]
+        # the +1 sideband, shifted to baseband; its window is applied
+        # together with the cascade in one spectral pass below
+        shifted = _stage("eom", lambda: demodulate(field, f_s))
         report["eom"] = {
             "x_peak_vrf_over_vpi": x_peak,
             "carrier_j0": bessel_j(0, np.pi * x_peak),
@@ -165,7 +165,8 @@ def run_chain(cfg: ChainConfig, outdir=None) -> RunReport:
         stack = cfg.etalon
         if cfg.apply_temp_jitter:
             stack = with_thermal_jitter(stack, np.random.default_rng(cfg.seed))
-        filtered = _stage("etalon", lambda: filter_pulse(sideband, stack))
+        filtered = _stage("etalon", lambda: filter_pulse(
+            shifted, stack, pre_gain=sideband_window(f_s)))
         diag = stage_diagnostics(stack, carrier_offset_hz=-f_s)
         ring_amp = max(photon_lifetime(e) for e in stack.stages)
         report["etalon"] = {
@@ -233,7 +234,7 @@ def sweep(cfg: ChainConfig, parameter_path, values, outdir=None):
                        for i, (v, r) in enumerate(zip(values, reports))],
         }
         _atomic_write(os.path.join(outdir, "sweep_summary.json"),
-                      json.dumps(summary, indent=2) + "\n")
+                      json.dumps(summary, indent=2, allow_nan=False) + "\n")
     return reports
 
 

@@ -33,12 +33,12 @@ class BandpassSpec:
 
     def __post_init__(self):
         for f, db in self.rejections:
-            if f <= 0 or db < 0:
+            if not (f > 0 and db >= 0):
                 raise ValidationError(
                     "BandpassSpec rejection points need f > 0 and dB >= 0")
-        if self.passband_loss_db < 0:
+        if not (self.passband_loss_db >= 0):
             raise ValidationError("BandpassSpec.passband_loss_db must be >= 0")
-        if self.f_center <= 0:
+        if not (self.f_center > 0):
             raise ValidationError("BandpassSpec.f_center must be > 0")
 
 

@@ -164,9 +164,23 @@ def from_spectrum(s: Spectrum, t_start=0.0) -> Waveform:
     restore the original grid placement (sample values are independent of it).
     """
     n = s.n_bins
-    samples = np.fft.ifft(np.fft.ifftshift(s.amplitudes)) * np.sqrt(n)
     grid = TimeGrid(t_start=t_start, dt=1.0 / (n * s.df), n_samples=n)
-    return Waveform(grid=grid, samples=samples)
+    return filter_spectrum(s, 1.0, grid)
+
+
+def filter_spectrum(s: Spectrum, gain, grid: TimeGrid, unit="") -> Waveform:
+    """Waveform on ``grid`` whose spectrum is ``gain * s``.
+
+    ``gain`` holds one finite value per bin of ``s`` (a scalar is allowed);
+    this is the single inverse transform behind :func:`from_spectrum` and
+    :func:`apply_transfer`.
+    """
+    h = np.asarray(gain)
+    if not np.all(np.isfinite(h)):
+        raise ValidationError("transfer function returned non-finite values")
+    amps = np.broadcast_to(h, s.amplitudes.shape) * s.amplitudes
+    out = np.fft.ifft(np.fft.ifftshift(amps)) * np.sqrt(s.n_bins)
+    return Waveform(grid=grid, samples=out, unit=unit)
 
 
 def apply_transfer(w: Waveform, transfer) -> Waveform:
@@ -177,13 +191,7 @@ def apply_transfer(w: Waveform, transfer) -> Waveform:
     Linear and composable: H1 then H2 equals H1*H2.
     """
     spec = to_spectrum(w)
-    f = spec.frequencies()
-    h = np.asarray(transfer(f), dtype=np.complex128)
-    h = np.broadcast_to(h, f.shape)
-    if not np.all(np.isfinite(h)):
-        raise ValidationError("transfer function returned non-finite values")
-    out = np.fft.ifft(np.fft.ifftshift(h * spec.amplitudes)) * np.sqrt(spec.n_bins)
-    return Waveform(grid=w.grid, samples=out, unit=w.unit)
+    return filter_spectrum(spec, transfer(spec.frequencies()), w.grid, w.unit)
 
 
 def one_pole_lowpass(f_c):

@@ -53,13 +53,24 @@ class TestValidation:
             ("[circuit]\nv_t_mv = 50\n", "circuit"),
             ("[mixer]\nlo_leak_db = 3\n", "mixer"),
             ("[atom]\nlambda_overlap = 1.5\n", "atom"),
-            ("[eom]\nn_orders = 0\n", "eom"),
             ("[dds]\nf_tune_mhz = 400\n", "dds"),
             ("[run]\nseed = -1\n", "run"),
+            # non-finite values
+            ("[etalon]\nfsr_ghz = inf\n", "etalon"),
+            ("[dds]\nf_clk_mhz = inf\n", "dds"),
+            ("[eom]\nv_pi_v = inf\n", "eom"),
+            ("[bandpass]\npassband_loss_db = nan\n", "bandpass"),
+            ("[bandpass]\nrejections_mhz_dbc = 125:nan\n", "bandpass"),
+            ("[etalon]\ntemp_jitter_mk = nan\n", "etalon"),
+            ("[etalon]\nstage2_fsr_ghz = infinity\n", "etalon"),
         ]
         for text, section in cases:
-            with pytest.raises(ValidationError, match=section):
+            with pytest.raises(ValidationError, match=rf"\[{section}\]"):
                 parse_config(text)
+
+    def test_n_orders_key_removed(self):
+        with pytest.raises(ValidationError, match="unknown key 'n_orders'"):
+            parse_config("[eom]\nn_orders = 3\n")
 
     def test_rejections_parse(self):
         cfg = parse_config("[bandpass]\nrejections_mhz_dbc = 100:60, 700:30\n")
@@ -71,6 +82,9 @@ class TestValidation:
         cfg = parse_config("[detector]\nbandwidth_ghz = inf\n")
         assert cfg.detector.bandwidth_hz == float("inf")
         assert "inf" in serialize_config(cfg)
+        # infinite keys take either sign: -inf dB is an ideal mixer
+        cfg = parse_config("[mixer]\nlo_leak_db = -inf\n")
+        assert cfg.mixer.lo_leak_db == float("-inf")
 
 
 class TestStageOverrides:

@@ -1,3 +1,6 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 
@@ -111,6 +114,30 @@ class TestStack:
         # even a slightly better 0.77% per-stage leak gives
         # 0.77%^3 ~ 4.6e-7 ~ 63 dB, comfortably past the 60 dB target
         assert -10 * np.log10(0.0077 ** 3) == pytest.approx(63.4, abs=0.1)
+
+    @pytest.mark.parametrize("e", [EtalonParams(reflectivity=0.1),
+                                   EtalonParams(loss=0.999999)])
+    def test_line_width_undefined_below_contrast_two(self, e):
+        # R(1-loss) < 3-2*sqrt(2): |t|^2 never falls to half its peak
+        t2 = np.abs(airy_transmission(np.linspace(0, e.fsr_hz, 1001), e)) ** 2
+        assert t2.min() > 0.5 * t2.max()
+        with pytest.raises(ValidationError, match="undefined"):
+            finesse(e)
+        with pytest.raises(ValidationError, match="undefined"):
+            fwhm_hz(e)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = stage_diagnostics(EtalonStack.identical(3, e), 1.5e9)
+        for stage in d["per_stage"]:
+            assert stage["fwhm_hz"] is None and stage["finesse"] is None
+            assert "3-2*sqrt(2)" in stage["fwhm_error"]
+            assert np.isfinite(stage["carrier_leak_db"])
+        json.dumps(d, allow_nan=False)
+
+    def test_line_width_defined_at_contrast_two(self):
+        # exactly at the boundary the half-power points meet at +-FSR/2
+        e = EtalonParams(reflectivity=3 - 2 * np.sqrt(2) + 1e-12)
+        assert finesse(e) == pytest.approx(1.0, rel=1e-5)
 
     def test_diagnostics_shape(self):
         d = stage_diagnostics(EtalonStack.identical(3), 1.5e9)

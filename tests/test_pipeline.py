@@ -3,8 +3,8 @@ import os
 
 import pytest
 
-from pulsechain import (ValidationError, default_config, fit_trace,
-                        parse_config, read_trace, run_chain,
+from pulsechain import (RunReport, ValidationError, default_config,
+                        fit_trace, parse_config, read_trace, run_chain,
                         set_config_value, sweep)
 
 
@@ -119,6 +119,24 @@ class TestSpecialConfigs:
             run_chain(cfg)
 
 
+class TestStrictJson:
+    @pytest.mark.parametrize("text", ["[etalon]\nreflectivity = 0.1\n",
+                                      "[etalon]\nloss = 0.999999\n"])
+    def test_undefined_line_width_reported_as_null(self, tmp_path, text):
+        run_chain(parse_config(text), str(tmp_path))
+        rep = json.loads((tmp_path / "report.json").read_text(),
+                         parse_constant=pytest.fail)
+        for stage in rep["etalon"]["per_stage"]:
+            assert stage["fwhm_hz"] is None and stage["finesse"] is None
+            assert "undefined" in stage["fwhm_error"]
+
+    def test_non_finite_values_refused(self):
+        with pytest.raises(ValueError):
+            RunReport(data={"x": float("nan")}).to_json()
+        with pytest.raises(ValueError):
+            RunReport(data={"x": float("inf")}).to_json()
+
+
 class TestSweep:
     def test_tau_sweep_order_and_values(self, tmp_path):
         cfg = default_config()
@@ -126,7 +144,8 @@ class TestSweep:
         reports = sweep(cfg, "circuit.v_in_v", values, str(tmp_path / "sw"))
         taus = [r.data["envelope"]["tau_design_s"] for r in reports]
         assert taus == sorted(taus, reverse=True)  # higher drive, faster ramp
-        summary = json.loads((tmp_path / "sw" / "sweep_summary.json").read_text())
+        summary = json.loads((tmp_path / "sw" / "sweep_summary.json").read_text(),
+                             parse_constant=pytest.fail)
         assert [p["value"] for p in summary["points"]] == values
         assert os.path.isdir(tmp_path / "sw" / "point_002")
 

@@ -90,6 +90,16 @@ def _parse_number(section, key, raw, kind):
         raise ValidationError(f"config [{section}] {key} = {raw!r}: {exc}") from None
 
 
+def _si(key, value, scale):
+    """A config value in SI units.  A finite value that the unit factor
+    overflows, or flushes to zero, is rejected; an ``inf``-kind infinity
+    stays infinite."""
+    x = value * scale
+    if (math.isinf(x) and not math.isinf(value)) or (x == 0 and value != 0):
+        raise ValidationError(f"{key} = {value!r} is out of range in SI units")
+    return x
+
+
 def _parse_rejections(section, key, raw):
     pairs = []
     for chunk in raw.split(","):
@@ -179,6 +189,9 @@ def _build(merged, stage_overrides):
     def val(section, key):
         return merged[section][key][0]
 
+    def si(section, key, scale):
+        return _si(key, val(section, key), scale)
+
     def section_guard(section, fn):
         try:
             return fn()
@@ -186,27 +199,27 @@ def _build(merged, stage_overrides):
             raise ValidationError(f"config [{section}]: {exc}") from None
 
     grid = section_guard("grid", lambda: TimeGrid(
-        t_start=val("grid", "t_start_ns") * 1e-9,
-        dt=val("grid", "dt_ns") * 1e-9,
+        t_start=si("grid", "t_start_ns", 1e-9),
+        dt=si("grid", "dt_ns", 1e-9),
         n_samples=val("grid", "n_samples")))
     circuit = section_guard("circuit", lambda: CircuitParams(
-        i0=val("circuit", "i0_a"), v_t=val("circuit", "v_t_mv") * 1e-3,
-        c1=val("circuit", "c1_nf") * 1e-9, r11=val("circuit", "r11_ohm"),
+        i0=val("circuit", "i0_a"), v_t=si("circuit", "v_t_mv", 1e-3),
+        c1=si("circuit", "c1_nf", 1e-9), r11=val("circuit", "r11_ohm"),
         v_in=val("circuit", "v_in_v"), v_drop=val("circuit", "v_drop_v"),
-        i_c_max=val("circuit", "i_c_max_ma") * 1e-3,
+        i_c_max=si("circuit", "i_c_max_ma", 1e-3),
         v_out_max=val("circuit", "v_out_max_v"),
-        discharge_tau=val("circuit", "discharge_tau_ns") * 1e-9,
+        discharge_tau=si("circuit", "discharge_tau_ns", 1e-9),
         load_ohms=val("circuit", "load_ohm")))
     gate = section_guard("circuit", lambda: GatePulse(
-        t_on=val("circuit", "gate_on_ns") * 1e-9,
-        duration=val("circuit", "gate_len_ns") * 1e-9))
+        t_on=si("circuit", "gate_on_ns", 1e-9),
+        duration=si("circuit", "gate_len_ns", 1e-9)))
     dds = section_guard("dds", lambda: DdsParams(
-        f_clk=val("dds", "f_clk_mhz") * 1e6,
-        f_tune=val("dds", "f_tune_mhz") * 1e6,
+        f_clk=si("dds", "f_clk_mhz", 1e6),
+        f_tune=si("dds", "f_tune_mhz", 1e6),
         n_images=val("dds", "n_images")))
     bandpass = section_guard("bandpass", lambda: BandpassSpec(
-        f_center=val("bandpass", "f_center_mhz") * 1e6,
-        rejections=tuple((f * 1e6, db)
+        f_center=si("bandpass", "f_center_mhz", 1e6),
+        rejections=tuple((_si("rejections_mhz_dbc", f, 1e6), db)
                          for f, db in val("bandpass", "rejections_mhz_dbc")),
         passband_loss_db=val("bandpass", "passband_loss_db")))
     mixer = section_guard("mixer", lambda: MixerParams(
@@ -215,47 +228,45 @@ def _build(merged, stage_overrides):
         if_leak_db=val("mixer", "if_leak_db")))
     eom = section_guard("eom", lambda: ModulatorParams(
         v_pi=val("eom", "v_pi_v"), drive_scale=val("eom", "drive_scale"),
-        bandwidth_hz=val("eom", "bandwidth_ghz") * 1e9,
+        bandwidth_hz=si("eom", "bandwidth_ghz", 1e9),
         apply_bandwidth_rolloff=val("eom", "apply_bandwidth_rolloff")))
 
     def make_stack():
         n = val("etalon", "n_stages")
         if n < 1:
             raise ValidationError("n_stages must be >= 1")
-        base = dict(
-            reflectivity=val("etalon", "reflectivity"),
-            fsr_ghz=val("etalon", "fsr_ghz"),
-            detuning_mhz=val("etalon", "detuning_mhz"),
-            loss=val("etalon", "loss"),
-            temp_per_fsr_k=val("etalon", "temp_per_fsr_k"))
         for idx in stage_overrides:
             if not 1 <= idx <= n:
                 raise ValidationError(
                     f"stage override index {idx} outside 1..{n}")
-        stages = []
-        for i in range(1, n + 1):
-            kv = dict(base)
-            kv.update(stage_overrides.get(i, {}))
-            stages.append(EtalonParams(
-                reflectivity=kv["reflectivity"],
-                fsr_hz=kv["fsr_ghz"] * 1e9,
-                detuning_hz=kv["detuning_mhz"] * 1e6,
-                loss=kv["loss"],
-                temp_per_fsr_k=kv["temp_per_fsr_k"],
-                temp_jitter_k=val("etalon", "temp_jitter_mk") * 1e-3))
+
+        def stage(i, name, scale=1.0):
+            # a stage<i>_<name> override, else the [etalon] <name> default
+            over = stage_overrides.get(i, {})
+            key = f"stage{i}_{name}" if name in over else name
+            return _si(key, over.get(name, val("etalon", name)), scale)
+
+        stages = [EtalonParams(
+            reflectivity=stage(i, "reflectivity"),
+            fsr_hz=stage(i, "fsr_ghz", 1e9),
+            detuning_hz=stage(i, "detuning_mhz", 1e6),
+            loss=stage(i, "loss"),
+            temp_per_fsr_k=stage(i, "temp_per_fsr_k"),
+            temp_jitter_k=si("etalon", "temp_jitter_mk", 1e-3))
+            for i in range(1, n + 1)]
         return EtalonStack(stages=tuple(stages))
 
     etalon_stack = section_guard("etalon", make_stack)
     detector = section_guard("detector", lambda: DetectorParams(
-        bandwidth_hz=val("detector", "bandwidth_ghz") * 1e9,
-        scope_bandwidth_hz=val("detector", "scope_bandwidth_ghz") * 1e9,
+        bandwidth_hz=si("detector", "bandwidth_ghz", 1e9),
+        scope_bandwidth_hz=si("detector", "scope_bandwidth_ghz", 1e9),
         responsivity=val("detector", "responsivity")))
     if not (val("atom", "excited_lifetime_ns") > 0):
         raise ValidationError("config [atom]: excited_lifetime_ns must be > 0")
     atom = section_guard("atom", lambda: AtomParams(
-        gamma=1.0 / (val("atom", "excited_lifetime_ns") * 1e-9),
+        gamma=1.0 / (si("atom", "excited_lifetime_ns", 1e-9)),
         lambda_overlap=val("atom", "lambda_overlap"),
-        detuning_hz=val("atom", "detuning_mhz") * 1e6))
+        detuning_hz=si("atom", "detuning_mhz", 1e6)))
 
     kv = {section: {key: _canon(v, kind)
                     for key, (v, kind) in merged[section].items()}

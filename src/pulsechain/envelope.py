@@ -9,11 +9,11 @@ switching transistors are ideal routing; only the Shockley stage shapes the
 pulse.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _accel
 from .errors import ValidationError
 from .waveform import TimeGrid, Waveform
 
@@ -105,41 +105,47 @@ def control_voltage_for_tau(p: CircuitParams, tau):
     return p.v_drop + p.r11 * p.c1 * p.v_t / tau
 
 
-def _gate_indices(gates, grid: TimeGrid):
+def simulate_circuit(p: CircuitParams, gates, grid: TimeGrid):
+    """Run the shaper over the grid; returns (v_be, v_out) waveforms.
+
+    ``gates`` is one GatePulse or a sequence of non-overlapping ones.  The
+    base voltage charges linearly over each gate's samples, with the output
+    routed to the load, and C1 discharges exponentially otherwise, with the
+    output identically zero; a retrigger before full discharge therefore
+    starts from the correctly elevated base voltage.
+    """
     if isinstance(gates, GatePulse):
         gates = [gates]
-    gates = sorted(gates, key=lambda g: g.t_on)
-    i_on, i_off = [], []
+    n = grid.n_samples
+    tol = 1e-9 * grid.dt
+    v_be = np.zeros(n)
+    v_out = np.zeros(n)
+    step = p.ramp_slope * grid.dt
+    decay = math.exp(-grid.dt / p.discharge_tau)
+    v0 = 0.0
+    pos = 0
     prev_end = -np.inf
-    for g in gates:
-        if g.t_on < grid.t_start - 1e-9 * grid.dt or g.t_off > grid.t_end + 1e-9 * grid.dt:
+    for g in sorted(gates, key=lambda g: g.t_on):
+        if g.t_on < grid.t_start - tol or g.t_off > grid.t_end + tol:
             raise ValidationError(
                 f"gate [{g.t_on}, {g.t_off}] s extends outside the grid "
                 f"[{grid.t_start}, {grid.t_end}] s")
         if g.t_on < prev_end:
             raise ValidationError("gate pulses overlap")
         prev_end = g.t_off
-        a = max(grid.index_at(g.t_on, "ceil"), 0)
-        b = min(grid.index_at(g.t_off, "floor"), grid.n_samples - 1)
-        if b < a:
+        on = grid.window_slice(g.t_on, g.t_off)
+        if on.stop <= on.start:
             continue  # gate falls entirely between samples: no effect
-        i_on.append(a)
-        i_off.append(b)
-    return (np.asarray(i_on, dtype=np.int64),
-            np.asarray(i_off, dtype=np.int64))
-
-
-def simulate_circuit(p: CircuitParams, gates, grid: TimeGrid):
-    """Run the shaper over the grid; returns (v_be, v_out) waveforms.
-
-    ``gates`` is one GatePulse or a sequence of non-overlapping ones; C1
-    keeps discharging between gates, so a retrigger before full discharge
-    starts from the correctly elevated base voltage.
-    """
-    i_on, i_off = _gate_indices(gates, grid)
-    v_be, v_out = _accel.envelope_loop(
-        grid.n_samples, grid.dt, i_on, i_off, p.ramp_slope, p.v_t, p.i0,
-        p.i_c_max, p.v_out_max, p.load_ohms, p.discharge_tau)
+        if on.start > pos:
+            v_be[pos:on.start] = v0 * np.power(decay, np.arange(on.start - pos))
+            v0 = v0 * decay ** (on.start - pos)
+        seg = v0 + step * np.arange(on.stop - on.start)
+        v_be[on] = seg
+        v_out[on] = np.minimum(p.load_ohms * shockley_current(seg, p),
+                               p.v_out_max)
+        v0 = v0 + step * (on.stop - on.start)
+        pos = on.stop
+    v_be[pos:] = v0 * np.power(decay, np.arange(n - pos))
     return (Waveform(grid=grid, samples=v_be, unit="V"),
             Waveform(grid=grid, samples=v_out, unit="V"))
 

@@ -127,9 +127,12 @@ def carrier_leak(e: EtalonParams, f_offset):
 
 
 def stack_extinction_db(s: EtalonStack, f_offset):
-    """Cascade power extinction (positive dB) at a frequency offset."""
-    power = abs(stack_transmission(f_offset, s)) ** 2
-    return -10.0 * np.log10(power)
+    """Cascade power extinction (positive dB) at a frequency offset.
+
+    The sum of the per-stage extinctions: equal to -10 log10 of the product
+    of the stage transmissions, but finite where that product underflows.
+    """
+    return sum(-10.0 * np.log10(carrier_leak(e, f_offset)) for e in s.stages)
 
 
 def temperature_to_frequency(d_temp, e: EtalonParams):

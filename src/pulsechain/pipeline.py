@@ -182,10 +182,10 @@ def run_chain(cfg: ChainConfig, outdir=None) -> RunReport:
         # any residual mixer-leak floor flattens the tail
         dp = det.samples.real
         k_peak = int(np.argmax(dp))
-        t_peak_det = float(det.times()[k_peak])
+        t_peak_det = grid.t_start + grid.dt * k_peak
         below = np.nonzero(dp[k_peak:] < 0.01 * dp[k_peak])[0]
-        t_floor = float(det.times()[k_peak + below[0]]) if len(below) \
-            else grid.t_end - grid.dt
+        t_floor = grid.t_start + grid.dt * (k_peak + int(below[0])) \
+            if len(below) else grid.t_end - grid.dt
         fall_window = (t_peak_det + max(0.5 * ring_amp, 2.0 * grid.dt),
                        min(t_floor, grid.t_end - grid.dt))
         report["detector"] = {

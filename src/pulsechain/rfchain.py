@@ -91,27 +91,18 @@ def apply_bandpass(tones, spec: BandpassSpec):
     return out
 
 
-def _normalize(tones, spur_degradation_db):
+def frequency_double(tones):
+    """One doubling stage: every (f, a) tone maps to 2f; the output is
+    renormalized to a unit dominant tone, so each spur keeps its dBc."""
     amax = max(a for _, a in tones)
     if amax <= 0:
         raise ValidationError("tone list carries no power")
-    deg = 10.0 ** (spur_degradation_db / 20.0)
-    return [(f, 1.0 if a == amax else (a / amax) * deg) for f, a in tones]
+    return [(2.0 * f, 1.0 if a == amax else a / amax) for f, a in tones]
 
 
-def frequency_double(tones, spur_degradation_db=0.0):
-    """One doubling stage: every tone maps f -> 2f; output renormalized to a
-    unit dominant tone, residual spurs' dBc optionally degraded."""
-    single = isinstance(tones, tuple) and len(tones) == 2 and np.isscalar(tones[0])
-    tone_list = [tones] if single else list(tones)
-    out = _normalize([(2.0 * f, a) for f, a in tone_list], spur_degradation_db)
-    return out[0] if single else out
-
-
-def frequency_quadruple(tones, spur_degradation_db=0.0):
+def frequency_quadruple(tones):
     """Two doubling stages (f -> 4f), e.g. 375 MHz -> 1.5 GHz."""
-    return frequency_double(frequency_double(tones, spur_degradation_db),
-                            spur_degradation_db)
+    return frequency_double(frequency_double(tones))
 
 
 def dominant_tone(tones):

@@ -101,10 +101,6 @@ class Waveform:
         """Discrete squared norm sum(|x|^2) (Parseval-side quantity)."""
         return float(np.sum(np.abs(self.samples) ** 2))
 
-    def energy(self):
-        """Physical energy integral sum(|x|^2) * dt."""
-        return self.norm2() * self.grid.dt
-
     def is_real(self, tol=1e-12):
         scale = np.max(np.abs(self.samples)) or 1.0
         return float(np.max(np.abs(self.samples.imag))) <= tol * scale
@@ -112,9 +108,8 @@ class Waveform:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Complex amplitudes vs frequency offset from a declared carrier."""
+    """Complex amplitudes vs frequency offset from the carrier."""
 
-    carrier_hz: float
     df: float
     amplitudes: np.ndarray
     f_offset_start: float
@@ -141,7 +136,7 @@ class Spectrum:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
 
-def to_spectrum(w: Waveform, carrier_hz=0.0) -> Spectrum:
+def to_spectrum(w: Waveform) -> Spectrum:
     """Forward DFT of a waveform, bins ordered from most negative offset.
 
     Uses the exp(-i 2 pi f t) sign convention and 1/sqrt(N) normalization,
@@ -153,8 +148,7 @@ def to_spectrum(w: Waveform, carrier_hz=0.0) -> Spectrum:
     n = w.grid.n_samples
     amps = np.fft.fftshift(np.fft.fft(w.samples)) / np.sqrt(n)
     df = 1.0 / (n * w.grid.dt)
-    return Spectrum(carrier_hz=carrier_hz, df=df, amplitudes=amps,
-                    f_offset_start=-(n // 2) * df)
+    return Spectrum(df=df, amplitudes=amps, f_offset_start=-(n // 2) * df)
 
 
 def from_spectrum(s: Spectrum, t_start=0.0) -> Waveform:
@@ -233,7 +227,6 @@ class FitResult:
     offset: float
     residual_norm: float
     window: tuple
-    direction: str
 
     def __post_init__(self):
         if not (self.tau > 0):
@@ -315,7 +308,8 @@ def fit_exponential(w: Waveform, window, direction) -> FitResult:
     y = np.abs(w.samples[sl])
     if len(y) < 16:
         raise ValidationError("fit window must contain at least 16 samples")
-    t = (g.times()[sl] - g.times()[sl][0])
+    t_win = g.t_start + g.dt * np.arange(sl.start, sl.stop)
+    t = t_win - t_win[0]
 
     _check_trend(y, sign)
 
@@ -369,22 +363,19 @@ def fit_exponential(w: Waveform, window, direction) -> FitResult:
     return FitResult(tau=float(best[1]), amplitude=float(best[0]),
                      offset=float(best[2]),
                      residual_norm=r0 / ynorm if ynorm > 0 else 0.0,
-                     window=(t_a, t_b), direction=direction)
+                     window=(t_a, t_b))
 
 
 # ---------------------------------------------------------------------------
 # trace file format: plain CSV, header time_s,real,imag or time_s,value
 # ---------------------------------------------------------------------------
 
-def write_trace(path, w: Waveform, fmt="auto"):
-    """Write a waveform as CSV (UTF-8, '.' decimal, one sample per line)."""
-    if fmt not in ("auto", "complex", "real"):
-        raise ValidationError("fmt must be auto, complex or real")
-    complex_out = fmt == "complex" or (
-        fmt == "auto" and bool(np.any(w.samples.imag != 0.0)))
+def write_trace(path, w: Waveform):
+    """Write a waveform as CSV (UTF-8, '.' decimal, one sample per line);
+    the imaginary column is written only when some sample has one."""
     t = w.times()
     lines = []
-    if complex_out:
+    if np.any(w.samples.imag != 0.0):
         lines.append("time_s,real,imag")
         for ti, si in zip(t, w.samples):
             lines.append(f"{float(ti)!r},{float(si.real)!r},{float(si.imag)!r}")

@@ -1,4 +1,6 @@
-"""The numpy kernels against per-sample and per-step reference loops."""
+"""The two sequential loops against per-sample and per-step reference loops:
+the shaper's segment loop in ``envelope.simulate_circuit`` and the RK4
+excitation scan in ``atom``."""
 
 import math
 import subprocess
@@ -7,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from pulsechain import _accel
+from pulsechain import CircuitParams, GatePulse, TimeGrid, atom, simulate_circuit
 
 
 def envelope_loop_reference(n, dt, i_on, i_off, slope, v_t, i0, i_c_max,
@@ -85,9 +87,14 @@ def test_envelope_loop_matches_reference():
     dt = 0.1e-9
     i_on = np.array([500, 6000, 14000], dtype=np.int64)
     i_off = np.array([4000, 9000, 19000], dtype=np.int64)
-    args = (n, dt, i_on, i_off, 9.6e5, 0.026, 1e-14, 0.040, 2.0, 50.0, 200e-9)
-    vb_ref, vo_ref = envelope_loop_reference(*args)
-    vb, vo = _accel.envelope_loop(*args)
+    p = CircuitParams()
+    gates = [GatePulse(t_on=a * dt, duration=(b - a) * dt)
+             for a, b in zip(i_on, i_off)]
+    vb_ref, vo_ref = envelope_loop_reference(
+        n, dt, i_on, i_off, p.ramp_slope, p.v_t, p.i0, p.i_c_max,
+        p.v_out_max, p.load_ohms, p.discharge_tau)
+    v_be, v_out = simulate_circuit(p, gates, TimeGrid(0.0, dt, n))
+    vb, vo = v_be.samples.real, v_out.samples.real
     assert np.allclose(vb_ref, vb, rtol=1e-9, atol=1e-18)
     assert np.allclose(vo_ref, vo, rtol=1e-9, atol=1e-18)
 
@@ -100,7 +107,7 @@ def test_excite_scan_matches_reference(n):
     a = complex(-1.9e7, -2e5)
     b = 6178.0
     c_ref = excite_scan_reference(xi, dt, a, b)
-    c = _accel.excite_scan(xi, dt, a, b)
+    c = atom._excite_scan(xi, dt, a, b)
     scale = np.max(np.abs(c)) or 1.0
     assert np.max(np.abs(c_ref - c)) < 1e-9 * scale
 

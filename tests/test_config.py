@@ -63,6 +63,11 @@ class TestValidation:
             ("[bandpass]\nrejections_mhz_dbc = 125:nan\n", "bandpass"),
             ("[etalon]\ntemp_jitter_mk = nan\n", "etalon"),
             ("[etalon]\nstage2_fsr_ghz = infinity\n", "etalon"),
+            # finite values that the unit factor overflows or flushes to 0
+            ("[etalon]\nfsr_ghz = 1e305\n", "etalon"),
+            ("[etalon]\nstage1_fsr_ghz = 1e305\n", "etalon"),
+            ("[dds]\nf_clk_mhz = 1e305\n", "dds"),
+            ("[atom]\nexcited_lifetime_ns = 1e-320\n", "atom"),
         ]
         for text, section in cases:
             with pytest.raises(ValidationError, match=rf"\[{section}\]"):

@@ -3,9 +3,10 @@ import os
 
 import pytest
 
-from pulsechain import (RunReport, ValidationError, default_config,
-                        fit_trace, parse_config, read_trace, run_chain,
-                        set_config_value, sweep)
+from pulsechain import (EtalonStack, RunReport, ValidationError,
+                        default_config, fit_trace, parse_config, read_trace,
+                        run_chain, set_config_value, stack_extinction_db, sweep)
+from pulsechain.cli import main
 
 
 def read_bytes(path):
@@ -129,6 +130,18 @@ class TestStrictJson:
         for stage in rep["etalon"]["per_stage"]:
             assert stage["fwhm_hz"] is None and stage["finesse"] is None
             assert "undefined" in stage["fwhm_error"]
+
+    def test_long_cascade_extinction_stays_finite(self, tmp_path):
+        # the product of 400 stage transmissions underflows to 0; the
+        # extinction is the sum of the per-stage values instead
+        cfg = tmp_path / "s400.ini"
+        cfg.write_text("[etalon]\nn_stages = 400\n")
+        assert main(["simulate", str(cfg), "--outdir", str(tmp_path)]) == 0
+        rep = json.loads((tmp_path / "report.json").read_text(),
+                         parse_constant=pytest.fail)
+        single = stack_extinction_db(EtalonStack.identical(1), 1.5e9)
+        assert rep["etalon"]["cascade_extinction_db"] == pytest.approx(
+            400 * single, rel=1e-12)
 
     def test_non_finite_values_refused(self):
         with pytest.raises(ValueError):

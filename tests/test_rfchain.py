@@ -78,14 +78,6 @@ class TestDoubling:
         out = dict(frequency_double([(375e6, 1.0), (625e6, 0.1)]))
         assert set(out) == {750e6, 1.25e9}
 
-    def test_single_tone_tuple_form(self):
-        assert frequency_quadruple((375e6, 0.5)) == (1.5e9, 1.0)
-
-    def test_spur_degradation_knob(self):
-        out = dict(frequency_double([(375e6, 1.0), (625e6, 0.1)],
-                                    spur_degradation_db=6.0))
-        assert out[1.25e9] == pytest.approx(0.1 * 10 ** (6 / 20), rel=1e-12)
-
     def test_dominant_tone(self):
         assert dominant_tone([(1e9, 0.2), (2e9, 0.9)]) == (2e9, 0.9)
 

@@ -14,9 +14,13 @@ scope.
 
 Integrator: classical fixed-step RK4 run with step 2*dt so that every stage
 lands on a grid sample; for this linear equation the step is a first-order
-recurrence with precomputed forcing (see _excite_scan).
+recurrence c_{k+1} = p*c_k + F_k with precomputed forcing, evaluated as a
+blocked prefix scan (Blelloch 1990) with no per-step Python loop (see
+_excite_scan).  The scan needs a damping step, 0 < |p| < 1, which
+step_is_stable checks.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +36,8 @@ class AtomParams:
     detuning_hz: float = 0.0
 
     def __post_init__(self):
-        if not (self.gamma > 0):
-            raise ValidationError("AtomParams.gamma must be > 0")
+        if not (0 < self.gamma < math.inf):
+            raise ValidationError("AtomParams.gamma must be finite and > 0")
         if not (0.0 <= self.lambda_overlap <= 1.0):
             raise ValidationError("AtomParams.lambda_overlap must be in [0, 1]")
         if not np.isfinite(self.detuning_hz):
@@ -51,14 +55,34 @@ class ExcitationResult:
             raise ValidationError("ExcitationResult.p_max must lie in [0, 1]")
 
 
+def _step_factor(al):
+    """p of one RK4 step of dc/dt = a*c with al = a*h: the Taylor polynomial
+    of exp(al) to fourth order.  Overflows to inf/nan, never raises."""
+    return 1.0 + al * (1.0 + al * (0.5 + al * (1.0 / 6.0 + al / 24.0)))
+
+
 def _rk4_coeffs(h, a, b):
     """One RK4 step of dc/dt = a*c + b*xi as c' = p*c + w0*f0 + w1*fm + w2*f1
     for the drive f0, fm, f1 at the start, midpoint and end of the step."""
     al = a * h
-    p = 1.0 + al * (1.0 + al * (0.5 + al * (1.0 / 6.0 + al / 24.0)))
+    p = _step_factor(al)
     w0 = 1.0 + al + al * al / 2.0 + al ** 3 / 4.0
     w1 = 4.0 + 2.0 * al + al * al / 2.0
     return p, (h / 6.0) * b * w0, (h / 6.0) * b * w1, (h / 6.0) * b
+
+
+def _amplitude_coefs(a: AtomParams):
+    """(a, b) of dc/dt = a*c + b*xi(t) for the atom's decay and detuning."""
+    return (complex(-(a.gamma / 2.0), -2.0 * np.pi * a.detuning_hz),
+            float(np.sqrt(a.gamma * a.lambda_overlap)))
+
+
+def step_is_stable(a: AtomParams, dt) -> bool:
+    """True when the integrator's RK4 step of 2*dt damps the free amplitude,
+    0 < |p| < 1.  Otherwise the amplitude grows without bound (the step is
+    too long for gamma or the detuning) and the blocked scan has no valid
+    block length."""
+    return 0.0 < abs(_step_factor(_amplitude_coefs(a)[0] * (2.0 * dt))) < 1.0
 
 
 def _excite_scan(xi, dt, a, b):
@@ -67,11 +91,17 @@ def _excite_scan(xi, dt, a, b):
     Classical RK4 with step h = 2*dt, so the half-step stage falls on a real
     sample and the sampled drive is never interpolated (the drives of
     interest have sharp, sample-aligned cutoffs).  The step is the recurrence
-    c_{k+1} = P*c_k + F_k, whose forcing F is computed vectorized so that
-    only the trivial first-order recurrence runs as a Python loop.  Odd-index
-    outputs come from one non-accumulating dt-step whose midpoint drive is
-    the local quadratic through three neighbouring samples (the linear
-    midpoint when the trace has only two samples).
+    c_{k+1} = p*c_k + F_k, whose forcing F is computed vectorized.  The
+    recurrence runs as a blocked scan: F is laid out in rows of B steps, and
+    within a row c_{j+1} = p^(j+1) * (carry + cumsum_i p^-(i+1) F_i), with
+    the carry, the last value of the row before, added as carry * p^(j+1);
+    only the loop over rows is in Python.  B is the largest block length,
+    at most the number of steps, with |p|^-B <= e^8, which bounds the growth
+    of the scaled terms and so the rounding of the cumulative sum.  The
+    caller ensures 0 < |p| < 1 (step_is_stable).  Odd-index outputs come
+    from one non-accumulating dt-step whose midpoint drive is the local
+    quadratic through three neighbouring samples (the linear midpoint when
+    the trace has only two samples).
     """
     xi = np.asarray(xi, dtype=np.complex128)
     n = len(xi)
@@ -87,17 +117,30 @@ def _excite_scan(xi, dt, a, b):
     x2 = xi[2:2 * m + 1:2]
 
     p2, a0, a1, a2 = _rk4_coeffs(2.0 * dt, a, b)
-    forcing = a0 * x0 + a1 * x1 + a2 * x2
-    even = np.empty(m + 1, dtype=np.complex128)
-    even[0] = 0.0
-    acc = 0.0 + 0.0j
-    for k in range(m):
-        acc = p2 * acc + forcing[k]
-        even[k + 1] = acc
-    c[0:2 * m + 1:2] = even
+    block = max(1, int(min(m, 8.0 / -math.log(abs(p2)))))
+    n_blocks = -(-m // block)
+    # even[k] = c[2k]; the forcing is written in place of its outputs and
+    # the tail past m pads the last row with zero forcing.
+    even = np.zeros(n_blocks * block + 1, dtype=np.complex128)
+    forcing = even[1:m + 1]
+    np.multiply(x0, a0, out=forcing)
+    forcing += a1 * x1
+    forcing += a2 * x2
+    rows = even[1:].reshape(n_blocks, block)
+    pw = np.exp(np.log(complex(p2)) * np.arange(1.0, block + 1))  # p^(j+1)
+    rows *= 1.0 / pw
+    np.cumsum(rows, axis=1, out=rows)
+    rows *= pw
+    for r in range(1, n_blocks):
+        rows[r] += rows[r - 1, -1] * pw
+    c[0:2 * m + 1:2] = even[:m + 1]
 
-    fm = (3.0 * x0 + 6.0 * x1 - x2) / 8.0
-    c[1:2 * m:2] = p1 * even[:-1] + (b0 * x0 + b1 * fm + b2 * x1)
+    # odd outputs, with the midpoint drive fm = (3*x0 + 6*x1 - x2)/8
+    odd = c[1:2 * m:2]
+    np.multiply(even[:m], p1, out=odd)
+    odd += (b0 + 0.375 * b1) * x0
+    odd += (0.75 * b1 + b2) * x1
+    odd -= (0.125 * b1) * x2
 
     if n % 2 == 0:  # trailing odd index
         y0, y1, y2 = xi[n - 3], xi[n - 2], xi[n - 1]
@@ -106,21 +149,22 @@ def _excite_scan(xi, dt, a, b):
     return c
 
 
-def _refine_peak(p, times):
+def _refine_peak(p, grid: TimeGrid):
     """Parabolic peak refinement through the three samples at the discrete
     maximum.  At a symmetric cutoff corner the side samples agree and the
     vertex reduces to the sample itself, so the refinement never invents
     probability above a sharp-cutoff peak."""
     k = int(np.argmax(p))
+    t_k = grid.t_start + grid.dt * k  # == grid.times()[k]
     if not 0 < k < len(p) - 1:
-        return float(p[k]), float(times[k])
+        return float(p[k]), float(t_k)
     p0, p1, p2 = p[k - 1], p[k], p[k + 1]
     curv = p0 - 2.0 * p1 + p2
     if curv >= 0.0:
-        return float(p1), float(times[k])
+        return float(p1), float(t_k)
     shift = np.clip((p0 - p2) / (2.0 * curv), -0.5, 0.5)
     peak = p1 - 0.125 * (p0 - p2) ** 2 / curv
-    return float(peak), float(times[k] + shift * (times[1] - times[0]))
+    return float(peak), float(t_k + shift * grid.dt)
 
 
 def excite(pulse_mode: Waveform, a: AtomParams) -> ExcitationResult:
@@ -134,19 +178,24 @@ def excite(pulse_mode: Waveform, a: AtomParams) -> ExcitationResult:
 
     The integrator steps over sample pairs, so sharp pulse edges are
     resolved most accurately when they fall on even sample indices (edges
-    mid-step cost O(dt^2) locally; smooth pulses are unaffected).
+    mid-step cost O(dt^2) locally; smooth pulses are unaffected).  A sample
+    spacing too coarse for the atom's decay rate or detuning
+    (step_is_stable) is rejected.
     """
     dt = pulse_mode.grid.dt
+    if not step_is_stable(a, dt):
+        raise ValidationError(
+            f"excite: the RK4 step 2*dt = {2.0 * dt:g} s is unstable for "
+            f"gamma = {a.gamma:g} 1/s and detuning = {a.detuning_hz:g} Hz; "
+            "use a finer sample spacing")
     power = np.abs(pulse_mode.samples) ** 2
     norm2 = (power.sum() - 0.5 * (power[0] + power[-1])) * dt
     if norm2 <= 0.0:
         raise ValidationError("excite: pulse mode has zero energy")
     xi = np.ascontiguousarray(pulse_mode.samples / np.sqrt(norm2))
-    acoef = complex(-(a.gamma / 2.0), -2.0 * np.pi * a.detuning_hz)
-    b = float(np.sqrt(a.gamma * a.lambda_overlap))
-    c = _excite_scan(xi, dt, acoef, b)
+    c = _excite_scan(xi, dt, *_amplitude_coefs(a))
     p = np.abs(c) ** 2
-    p_max, t_at_max = _refine_peak(p, pulse_mode.times())
+    p_max, t_at_max = _refine_peak(p, pulse_mode.grid)
     return ExcitationResult(p_max=p_max, t_at_max=t_at_max,
                             p_trace=Waveform(grid=pulse_mode.grid, samples=p,
                                              unit=""))

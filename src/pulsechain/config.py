@@ -12,9 +12,9 @@ import hashlib
 import io
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .atom import AtomParams
+from .atom import AtomParams, step_is_stable
 from .detector import DetectorParams
 from .envelope import CircuitParams, GatePulse
 from .eom import ModulatorParams
@@ -261,12 +261,26 @@ def _build(merged, stage_overrides):
         bandwidth_hz=si("detector", "bandwidth_ghz", 1e9),
         scope_bandwidth_hz=si("detector", "scope_bandwidth_ghz", 1e9),
         responsivity=val("detector", "responsivity")))
-    if not (val("atom", "excited_lifetime_ns") > 0):
+    lifetime_ns = val("atom", "excited_lifetime_ns")
+    if not (lifetime_ns > 0):
         raise ValidationError("config [atom]: excited_lifetime_ns must be > 0")
+    gamma = section_guard(
+        "atom", lambda: 1.0 / si("atom", "excited_lifetime_ns", 1e-9))
+    if math.isinf(gamma):
+        raise ValidationError(
+            f"config [atom]: excited_lifetime_ns = {lifetime_ns!r} gives an "
+            "infinite decay rate")
     atom = section_guard("atom", lambda: AtomParams(
-        gamma=1.0 / (si("atom", "excited_lifetime_ns", 1e-9)),
-        lambda_overlap=val("atom", "lambda_overlap"),
+        gamma=gamma, lambda_overlap=val("atom", "lambda_overlap"),
         detuning_hz=si("atom", "detuning_mhz", 1e6)))
+    if not step_is_stable(atom, grid.dt):
+        key = ("detuning_mhz"
+               if step_is_stable(replace(atom, detuning_hz=0.0), grid.dt)
+               else "excited_lifetime_ns")
+        raise ValidationError(
+            f"config [atom]: {key} = {val('atom', key)!r} makes the "
+            "excitation integrator's RK4 step unstable (it needs "
+            f"0 < |p| < 1) at [grid] dt_ns = {val('grid', 'dt_ns')!r}")
 
     kv = {section: {key: _canon(v, kind)
                     for key, (v, kind) in merged[section].items()}

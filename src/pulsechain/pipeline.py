@@ -72,11 +72,23 @@ def _atomic_trace(path, w):
     os.replace(tmp, path)
 
 
+# The config sections whose values set each stage, named in its errors.
+_STAGE_SECTIONS = {"envelope": "[circuit] [grid]",
+                   "rf": "[dds] [bandpass] [mixer] [grid]", "eom": "[eom]",
+                   "etalon": "[etalon]", "detector": "[detector]",
+                   "atom": "[atom] [grid]"}
+
+
+def _stage_error(name, msg):
+    return ValidationError(f"stage '{name}' (config {_STAGE_SECTIONS[name]}): "
+                           f"{msg}")
+
+
 def _stage(name, fn):
     try:
         return fn()
     except ValidationError as exc:
-        raise ValidationError(f"stage '{name}': {exc}") from None
+        raise _stage_error(name, exc) from None
 
 
 def _try_fit(w, window, direction):
@@ -134,8 +146,8 @@ def run_chain(cfg: ChainConfig, outdir=None) -> RunReport:
         tones_rf = _stage("rf", lambda: frequency_quadruple(tones_bpf))
         f_s = dominant_tone(tones_rf)[0]
         if cfg.eom.bandwidth_hz <= f_s:
-            raise ValidationError(
-                f"stage 'eom': modulator bandwidth {cfg.eom.bandwidth_hz:g} Hz "
+            raise _stage_error(
+                "eom", f"modulator bandwidth {cfg.eom.bandwidth_hz:g} Hz "
                 f"must exceed the carrier f_S = {f_s:g} Hz")
         rf = _stage("rf", lambda: mix_envelope(v_out, f_s, cfg.mixer))
         rf_env = analytic_envelope(rf)

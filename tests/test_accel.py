@@ -99,17 +99,63 @@ def test_envelope_loop_matches_reference():
     assert np.allclose(vo_ref, vo, rtol=1e-9, atol=1e-18)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 101, 10000, 10001])
-def test_excite_scan_matches_reference(n):
-    rng = np.random.default_rng(n)
+DT = 0.1e-9
+A_RB = complex(-1.9e7, -2e5)                  # ~26 ns lifetime, small detuning
+A_DETUNED = complex(-1.9e7, -2 * np.pi * 3e8)  # p turns by ~0.38 rad per step
+A_DAMPED = complex(-1.25e10, 0.0)              # 2*dt*a = -2.5, edge at -2.785
+
+
+def block_length(a, dt, m):
+    # The largest B <= m with |p|^-B <= e^8, p the free 2*dt step factor.
+    p = abs(rk4_step_reference(1.0, 2.0 * dt, a, 0.0, 0.0, 0.0, 0.0))
+    return max(1, min(m, math.floor(8.0 / -math.log(p))))
+
+
+def check_scan(n, a, seed):
+    rng = np.random.default_rng(seed)
     xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    dt = 0.1e-9
-    a = complex(-1.9e7, -2e5)
     b = 6178.0
-    c_ref = excite_scan_reference(xi, dt, a, b)
-    c = atom._excite_scan(xi, dt, a, b)
+    c_ref = excite_scan_reference(xi, DT, a, b)
+    c = atom._excite_scan(xi, DT, a, b)
     scale = np.max(np.abs(c)) or 1.0
     assert np.max(np.abs(c_ref - c)) < 1e-9 * scale
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 101, 10000, 10001])
+def test_excite_scan_matches_reference(n):
+    check_scan(n, A_RB, n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 101, 10000, 10001])
+def test_excite_scan_detuned(n):
+    check_scan(n, A_DETUNED, n)
+
+
+def test_excite_scan_damped_many_blocks():
+    m = 5000
+    assert block_length(A_DAMPED, DT, m) == 18
+    check_scan(2 * m + 1, A_DAMPED, 5)
+
+
+@pytest.mark.parametrize("a", [A_RB, A_DAMPED], ids=["rb", "damped"])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("dm", [-1, 0, 1])
+@pytest.mark.parametrize("odd_tail", [0, 1])
+def test_excite_scan_block_boundaries(a, k, dm, odd_tail):
+    # m = k*B - 1, k*B, k*B + 1 full steps: an exact fit, a padded last
+    # block, and one step spilling into a new block; odd_tail adds the
+    # trailing odd sample.
+    block = block_length(a, DT, 10 ** 6)
+    m = k * block + dm
+    check_scan(2 * m + 1 + odd_tail, a, m)
+
+
+def test_excite_scan_repeatable():
+    rng = np.random.default_rng(3)
+    xi = rng.standard_normal(20001) + 1j * rng.standard_normal(20001)
+    first = atom._excite_scan(xi, DT, A_DETUNED, 6178.0)
+    second = atom._excite_scan(xi.copy(), DT, A_DETUNED, 6178.0)
+    assert first.tobytes() == second.tobytes()
 
 
 def test_import_loads_numpy_backend_only():

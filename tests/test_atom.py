@@ -163,6 +163,20 @@ class TestOptimality:
             excite(Waveform(grid=grid, samples=np.zeros(100)),
                    AtomParams(gamma=GAMMA))
 
+    def test_unstable_step_rejected(self):
+        # 2*dt*gamma/2 = 3 lies outside RK4's real stability interval
+        pulse = falling_pulse(dt=3.0 / GAMMA, n=100)
+        with pytest.raises(ValidationError, match="unstable"):
+            excite(pulse, AtomParams(gamma=GAMMA))
+        with pytest.raises(ValidationError, match="unstable"):
+            excite(falling_pulse(n=100), AtomParams(gamma=GAMMA,
+                                                     detuning_hz=20e9))
+
+    @pytest.mark.parametrize("gamma", [np.inf, 0.0, -1.0, np.nan])
+    def test_gamma_finite_positive(self, gamma):
+        with pytest.raises(ValidationError, match="gamma"):
+            AtomParams(gamma=gamma)
+
 
 class TestCompareShapes:
     def test_matched_pair(self):

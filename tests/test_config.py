@@ -68,10 +68,34 @@ class TestValidation:
             ("[etalon]\nstage1_fsr_ghz = 1e305\n", "etalon"),
             ("[dds]\nf_clk_mhz = 1e305\n", "dds"),
             ("[atom]\nexcited_lifetime_ns = 1e-320\n", "atom"),
+            # lifetimes whose decay rate overflows to inf
+            ("[atom]\nexcited_lifetime_ns = 1e-300\n", "atom"),
+            ("[atom]\nexcited_lifetime_ns = 1e-309\n", "atom"),
+            # an RK4 step of 2*dt that does not damp the free amplitude
+            ("[atom]\nexcited_lifetime_ns = 0.03\n", "atom"),
+            ("[atom]\ndetuning_mhz = 20000\n", "atom"),
         ]
         for text, section in cases:
             with pytest.raises(ValidationError, match=rf"\[{section}\]"):
                 parse_config(text)
+
+    def test_atom_errors_name_key(self):
+        cases = [
+            ("[atom]\nexcited_lifetime_ns = 1e-300\n",
+             r"\[atom\]: excited_lifetime_ns = 1e-300 .*infinite"),
+            ("[atom]\nexcited_lifetime_ns = 0.03\n",
+             r"\[atom\]: excited_lifetime_ns = 0.03 .*\[grid\] dt_ns = 0.1"),
+            ("[atom]\ndetuning_mhz = 20000\n",
+             r"\[atom\]: detuning_mhz = 20000.0 .*\[grid\] dt_ns = 0.1"),
+        ]
+        for text, pattern in cases:
+            with pytest.raises(ValidationError, match=pattern):
+                parse_config(text)
+
+    def test_short_lifetime_accepted_on_finer_grid(self):
+        cfg = parse_config("[grid]\ndt_ns = 0.05\n"
+                           "[atom]\nexcited_lifetime_ns = 0.03\n")
+        assert cfg.atom.gamma == pytest.approx(1.0 / 0.03e-9)
 
     def test_n_orders_key_removed(self):
         with pytest.raises(ValidationError, match="unknown key 'n_orders'"):

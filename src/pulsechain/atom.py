@@ -48,7 +48,6 @@ class AtomParams:
 class ExcitationResult:
     p_max: float
     t_at_max: float
-    p_trace: Waveform
 
     def __post_init__(self):
         if not (-1e-12 <= self.p_max <= 1.0 + 1e-9):
@@ -168,7 +167,7 @@ def _refine_peak(p, grid: TimeGrid):
 
 
 def excite(pulse_mode: Waveform, a: AtomParams) -> ExcitationResult:
-    """Excitation probability trace for a pulse interpreted as a
+    """Peak excitation probability for a pulse interpreted as a
     single-photon temporal mode.
 
     The pulse is normalized internally to unit energy (trapezoid-weighted
@@ -182,6 +181,13 @@ def excite(pulse_mode: Waveform, a: AtomParams) -> ExcitationResult:
     spacing too coarse for the atom's decay rate or detuning
     (step_is_stable) is rejected.
     """
+    p_max, t_at_max = _refine_peak(_probability_trace(pulse_mode, a),
+                                   pulse_mode.grid)
+    return ExcitationResult(p_max=p_max, t_at_max=t_at_max)
+
+
+def _probability_trace(pulse_mode: Waveform, a: AtomParams):
+    """p(t) = |c(t)|^2 on the pulse's grid, as :func:`excite` computes it."""
     dt = pulse_mode.grid.dt
     if not step_is_stable(a, dt):
         raise ValidationError(
@@ -193,12 +199,7 @@ def excite(pulse_mode: Waveform, a: AtomParams) -> ExcitationResult:
     if norm2 <= 0.0:
         raise ValidationError("excite: pulse mode has zero energy")
     xi = np.ascontiguousarray(pulse_mode.samples / np.sqrt(norm2))
-    c = _excite_scan(xi, dt, *_amplitude_coefs(a))
-    p = np.abs(c) ** 2
-    p_max, t_at_max = _refine_peak(p, pulse_mode.grid)
-    return ExcitationResult(p_max=p_max, t_at_max=t_at_max,
-                            p_trace=Waveform(grid=pulse_mode.grid, samples=p,
-                                             unit=""))
+    return np.abs(_excite_scan(xi, dt, *_amplitude_coefs(a))) ** 2
 
 
 def rising_exponential_pulse(grid: TimeGrid, tau_amp, t_cut) -> Waveform:

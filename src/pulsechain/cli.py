@@ -136,7 +136,9 @@ def main(argv=None):
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FitError as exc:
+    except (FitError, ValueError) as exc:
+        # a ValueError that is not a ValidationError is a numerical one,
+        # e.g. a non-finite value refused by the strict-JSON report
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -16,11 +16,13 @@ from dataclasses import dataclass, replace
 
 from .atom import AtomParams, step_is_stable
 from .detector import DetectorParams
-from .envelope import CircuitParams, GatePulse
+from .envelope import CircuitParams, GatePulse, gate_in_grid
 from .eom import ModulatorParams
 from .errors import ValidationError
 from .etalon import EtalonParams, EtalonStack
-from .rfchain import BandpassSpec, DdsParams, MixerParams
+from .rfchain import (BandpassSpec, DdsParams, MixerParams, apply_bandpass,
+                      dds_tones, dominant_tone, frequency_quadruple,
+                      resolves_carrier)
 from .waveform import TimeGrid
 
 _STAGE_KEY = re.compile(
@@ -222,6 +224,24 @@ def _build(merged, stage_overrides):
         rejections=tuple((_si("rejections_mhz_dbc", f, 1e6), db)
                          for f, db in val("bandpass", "rejections_mhz_dbc")),
         passband_loss_db=val("bandpass", "passband_loss_db")))
+    if not gate_in_grid(gate, grid):
+        raise ValidationError(
+            f"config [grid]: dt_ns = {val('grid', 'dt_ns')!r} with "
+            f"n_samples = {grid.n_samples} and t_start_ns = "
+            f"{val('grid', 't_start_ns')!r} spans [{grid.t_start:g}, "
+            f"{grid.t_end:g}] s, which does not contain the gate "
+            f"[{gate.t_on:g}, {gate.t_off:g}] s of [circuit] gate_on_ns = "
+            f"{val('circuit', 'gate_on_ns')!r}, gate_len_ns = "
+            f"{val('circuit', 'gate_len_ns')!r}")
+    f_s = dominant_tone(section_guard("bandpass", lambda: frequency_quadruple(
+        apply_bandpass(dds_tones(dds), bandpass))))[0]
+    if not resolves_carrier(f_s, grid.dt):
+        raise ValidationError(
+            f"config [grid]: dt_ns = {val('grid', 'dt_ns')!r} gives fewer "
+            f"than 4 samples per cycle of the carrier f_S = {f_s:g} Hz that "
+            f"[dds] f_clk_mhz = {val('dds', 'f_clk_mhz')!r}, f_tune_mhz = "
+            f"{val('dds', 'f_tune_mhz')!r} and [bandpass] f_center_mhz = "
+            f"{val('bandpass', 'f_center_mhz')!r} select")
     mixer = section_guard("mixer", lambda: MixerParams(
         conversion_gain=val("mixer", "conversion_gain"),
         lo_leak_db=val("mixer", "lo_leak_db"),

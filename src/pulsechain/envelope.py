@@ -75,6 +75,12 @@ class GatePulse:
         return self.t_on + self.duration
 
 
+def gate_in_grid(g: GatePulse, grid: TimeGrid) -> bool:
+    """True when the gate lies inside the grid, to 1e-9 of a sample."""
+    tol = 1e-9 * grid.dt
+    return grid.t_start - tol <= g.t_on and g.t_off <= grid.t_end + tol
+
+
 def shockley_current(v_be, p: CircuitParams):
     """Collector current i0*(exp(v_be/v_t) - 1), clamped at i_c_max.
 
@@ -117,7 +123,6 @@ def simulate_circuit(p: CircuitParams, gates, grid: TimeGrid):
     if isinstance(gates, GatePulse):
         gates = [gates]
     n = grid.n_samples
-    tol = 1e-9 * grid.dt
     v_be = np.zeros(n)
     v_out = np.zeros(n)
     step = p.ramp_slope * grid.dt
@@ -126,7 +131,7 @@ def simulate_circuit(p: CircuitParams, gates, grid: TimeGrid):
     pos = 0
     prev_end = -np.inf
     for g in sorted(gates, key=lambda g: g.t_on):
-        if g.t_on < grid.t_start - tol or g.t_off > grid.t_end + tol:
+        if not gate_in_grid(g, grid):
             raise ValidationError(
                 f"gate [{g.t_on}, {g.t_off}] s extends outside the grid "
                 f"[{grid.t_start}, {grid.t_end}] s")

@@ -21,7 +21,7 @@ from .eom import bessel_j, demodulate, distortion_fraction, phase_modulate, side
 from .errors import FitError, ValidationError
 from .etalon import filter_pulse, photon_lifetime, stage_diagnostics, with_thermal_jitter
 from .rfchain import apply_bandpass, dds_tones, dominant_tone, frequency_quadruple, mix_envelope
-from .waveform import analytic_envelope, fit_exponential, read_trace, write_trace
+from .waveform import analytic_envelope, fit_exponential, read_trace, write_traces
 
 
 def _py(obj):
@@ -63,12 +63,6 @@ def _atomic_write(path, text):
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-    os.replace(tmp, path)
-
-
-def _atomic_trace(path, w):
-    tmp = f"{path}.tmp"
-    write_trace(tmp, w)
     os.replace(tmp, path)
 
 
@@ -221,8 +215,8 @@ def run_chain(cfg: ChainConfig, outdir=None) -> RunReport:
     out = RunReport(data=_py(report))
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
-        for name, w in traces.items():
-            _atomic_trace(os.path.join(outdir, name), w)
+        write_traces([(os.path.join(outdir, name), w)
+                      for name, w in traces.items()])
         _atomic_write(os.path.join(outdir, "report.json"), out.to_json())
         _atomic_write(os.path.join(outdir, "report.txt"), out.to_text())
     return out

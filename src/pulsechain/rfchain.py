@@ -109,6 +109,11 @@ def dominant_tone(tones):
     return max(tones, key=lambda t: t[1])
 
 
+def resolves_carrier(f_s, dt) -> bool:
+    """True when a grid step dt gives at least 4 samples per cycle of f_s."""
+    return f_s * dt <= 0.25
+
+
 def mix_envelope(envelope: Waveform, f_s, m: MixerParams) -> Waveform:
     """Double-balanced mixer: envelope (IF) times the carrier (LO) at f_s.
 
@@ -117,7 +122,7 @@ def mix_envelope(envelope: Waveform, f_s, m: MixerParams) -> Waveform:
     """
     if not envelope.is_real():
         raise ValidationError("mix_envelope: envelope must be real-valued")
-    if f_s * envelope.grid.dt > 0.25:
+    if not resolves_carrier(f_s, envelope.grid.dt):
         raise ValidationError(
             f"grid too coarse for f_s = {f_s:g} Hz: fewer than 4 samples "
             f"per carrier cycle")

@@ -12,6 +12,9 @@ Conventions
   and the round trip is exact to machine precision.
 """
 
+import contextlib
+import itertools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -370,57 +373,146 @@ def fit_exponential(w: Waveform, window, direction) -> FitResult:
 # trace file format: plain CSV, header time_s,real,imag or time_s,value
 # ---------------------------------------------------------------------------
 
+# Rows formatted or parsed per step: large enough that the per-chunk numpy
+# calls are cheap next to the per-value repr/float, small enough that the
+# chunk's strings stay a few MB whatever the trace length.
+_TRACE_CHUNK = 8192
+
+
+def _format_column(x):
+    """repr() of each float64 in ``x``, each distinct bit pattern formatted
+    once (the int64 view keeps -0.0 apart from 0.0)."""
+    bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())),
+                    dtype=object)
+    return text[inverse].tolist()
+
+
 def write_trace(path, w: Waveform):
     """Write a waveform as CSV (UTF-8, '.' decimal, one sample per line);
-    the imaginary column is written only when some sample has one."""
-    t = w.times()
-    lines = []
-    if np.any(w.samples.imag != 0.0):
-        lines.append("time_s,real,imag")
-        for ti, si in zip(t, w.samples):
-            lines.append(f"{float(ti)!r},{float(si.real)!r},{float(si.imag)!r}")
-    else:
-        lines.append("time_s,value")
-        for ti, si in zip(t, w.samples.real):
-            lines.append(f"{float(ti)!r},{float(si)!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    the imaginary column is written only when some sample has one.  The
+    file is replaced atomically."""
+    write_traces([(path, w)])
 
 
-def read_trace(path, unit="") -> Waveform:
-    """Read a CSV trace written by :func:`write_trace` (or equivalent)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
-    rows = [(i + 1, line.strip()) for i, line in enumerate(raw) if line.strip()]
-    if not rows:
-        raise ValidationError(f"{path}: empty trace file")
-    header = rows[0][1].replace(" ", "").lower()
-    if header == "time_s,real,imag":
-        ncol = 3
-    elif header == "time_s,value":
-        ncol = 2
-    else:
-        raise ValidationError(
-            f"{path}: line 1: unrecognized header {rows[0][1]!r}")
-    times = []
-    vals = []
-    for lineno, line in rows[1:]:
+def write_traces(items):
+    """Write each ``(path, waveform)`` as :func:`write_trace` does.
+
+    All files are written in lockstep, ``_TRACE_CHUNK`` rows at a time, so
+    the time column is formatted once per distinct grid rather than once
+    per file.  Each file goes to ``<path>.tmp`` and is renamed into place
+    after every file is complete; if anything fails, every ``.tmp`` file
+    opened here is removed before the error propagates.
+    """
+    items = [(os.fspath(path), w) for path, w in items]
+    tmps = []
+    try:
+        with contextlib.ExitStack() as stack:
+            columns = []
+            for path, w in items:
+                tmp = f"{path}.tmp"
+                fh = stack.enter_context(
+                    open(tmp, "w", encoding="utf-8", newline="\n"))
+                tmps.append(tmp)
+                s = w.samples
+                if np.any(s.imag != 0.0):
+                    fh.write("time_s,real,imag\n")
+                    columns.append((fh, w.grid, (s.real, s.imag)))
+                else:
+                    fh.write("time_s,value\n")
+                    columns.append((fh, w.grid, (s.real,)))
+            n_max = max((w.grid.n_samples for _, w in items), default=0)
+            for lo in range(0, n_max, _TRACE_CHUNK):
+                times = {}
+                for fh, grid, values in columns:
+                    hi = min(lo + _TRACE_CHUNK, grid.n_samples)
+                    if lo >= hi:
+                        continue
+                    if grid not in times:
+                        t = grid.t_start + grid.dt * np.arange(lo, hi)
+                        times[grid] = list(map(repr, t.tolist()))
+                    cols = [_format_column(v[lo:hi]) for v in values]
+                    fh.write("\n".join(map(",".join,
+                                            zip(times[grid], *cols))))
+                    fh.write("\n")
+        for (path, _), tmp in zip(items, tmps):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in tmps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
+
+
+def _raise_bad_line(path, lines, linenos, ncol):
+    """Name the first of ``lines`` with the wrong column count or a value
+    float() rejects; the error path of :func:`read_trace`."""
+    for lineno, line in zip(linenos, lines):
         parts = line.split(",")
         if len(parts) != ncol:
             raise ValidationError(
                 f"{path}: line {lineno}: expected {ncol} columns, "
                 f"got {len(parts)}")
         try:
-            nums = [float(p) for p in parts]
+            for p in parts:
+                float(p)
         except ValueError as exc:
             raise ValidationError(f"{path}: line {lineno}: {exc}") from None
-        times.append(nums[0])
-        vals.append(nums[1] if ncol == 2 else complex(nums[1], nums[2]))
-    if len(times) < 2:
+
+
+def read_trace(path, unit="") -> Waveform:
+    """Read a CSV trace written by :func:`write_trace` (or equivalent).
+
+    Blank lines and whitespace around values are ignored; values parse as
+    Python's float() parses them.  A malformed line is reported by number.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    first = next((i for i, line in enumerate(lines) if line.strip()), None)
+    if first is None:
+        raise ValidationError(f"{path}: empty trace file")
+    header = lines[first].strip().replace(" ", "").lower()
+    if header == "time_s,real,imag":
+        ncol = 3
+    elif header == "time_s,value":
+        ncol = 2
+    else:
+        raise ValidationError(
+            f"{path}: line {first + 1}: unrecognized header "
+            f"{lines[first].strip()!r}")
+    body = lines[first + 1:]
+    commas = np.fromiter(map(str.count, body, itertools.repeat(",")),
+                         dtype=np.intp, count=len(body))
+    # a line with no comma is blank, or a row with too few columns
+    keep = commas != 0
+    for i in np.flatnonzero(~keep).tolist():
+        keep[i] = bool(body[i].strip())
+    linenos = np.flatnonzero(keep) + first + 2
+    if not keep.all():
+        body = list(itertools.compress(body, keep.tolist()))
+        commas = commas[keep]
+    n = len(body)
+    table = np.empty((n, ncol))
+    flat = table.reshape(-1)
+    for lo in range(0, n, _TRACE_CHUNK):
+        hi = min(lo + _TRACE_CHUNK, n)
+        chunk = body[lo:hi]
+        try:
+            if np.any(commas[lo:hi] != ncol - 1):
+                raise ValueError("wrong column count")
+            flat[lo * ncol:hi * ncol] = np.fromiter(
+                map(float, ",".join(chunk).split(",")), dtype=np.float64,
+                count=(hi - lo) * ncol)
+        except ValueError:
+            _raise_bad_line(path, chunk, linenos[lo:hi].tolist(), ncol)
+            raise
+    if n < 2:
         raise ValidationError(f"{path}: trace needs at least 2 samples")
-    t = np.asarray(times)
-    dt = (t[-1] - t[0]) / (len(t) - 1)
+    t = table[:, 0]
+    dt = (t[-1] - t[0]) / (n - 1)
     if dt <= 0 or np.max(np.abs(np.diff(t) - dt)) > 1e-6 * dt:
         raise ValidationError(f"{path}: sample times are not uniformly spaced")
-    grid = TimeGrid(t_start=float(t[0]), dt=float(dt), n_samples=len(t))
-    return Waveform(grid=grid, samples=np.asarray(vals), unit=unit)
+    grid = TimeGrid(t_start=float(t[0]), dt=float(dt), n_samples=n)
+    samples = (table[:, 1] if ncol == 2
+               else np.ascontiguousarray(table[:, 1:]).view(np.complex128)[:, 0])
+    return Waveform(grid=grid, samples=samples, unit=unit)

@@ -1,9 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from pulsechain import TimeGrid, Waveform, write_trace
+from pulsechain import TimeGrid, Waveform, pipeline, write_trace
 from pulsechain.cli import main
 
 DEFAULT_CFG = "[run]\nseed = 0\n"
@@ -31,6 +32,28 @@ def test_simulate_bad_config(tmp_path, capsys):
     rc = main(["simulate", str(p)])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_simulate_non_finite_report_exit_2(cfg_file, tmp_path, capsys,
+                                           monkeypatch):
+    monkeypatch.setattr(pipeline, "undershoot_fraction",
+                        lambda det: float("nan"))
+    rc = main(["simulate", cfg_file, "--outdir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "JSON" in err
+
+
+def test_simulate_failed_trace_write_leaves_nothing(cfg_file, tmp_path,
+                                                   capsys):
+    # the third tap's temporary file cannot be opened, after the first two
+    # taps' temporary files were
+    out = tmp_path / "out"
+    (out / "rf_drive.csv.tmp").mkdir(parents=True)
+    rc = main(["simulate", cfg_file, "--outdir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert sorted(os.listdir(out)) == ["rf_drive.csv.tmp"]
 
 
 def test_simulate_missing_file(capsys):

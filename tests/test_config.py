@@ -74,6 +74,10 @@ class TestValidation:
             # an RK4 step of 2*dt that does not damp the free amplitude
             ("[atom]\nexcited_lifetime_ns = 0.03\n", "atom"),
             ("[atom]\ndetuning_mhz = 20000\n", "atom"),
+            # a grid that ends before the gate, or gives fewer than 4
+            # samples per carrier cycle
+            ("[grid]\ndt_ns = 0.03\n", "grid"),
+            ("[grid]\ndt_ns = 1.0\n", "grid"),
         ]
         for text, section in cases:
             with pytest.raises(ValidationError, match=rf"\[{section}\]"):
@@ -92,8 +96,28 @@ class TestValidation:
             with pytest.raises(ValidationError, match=pattern):
                 parse_config(text)
 
+    def test_grid_errors_name_keys(self):
+        cases = [
+            ("[grid]\ndt_ns = 0.03\n",
+             r"\[grid\]: dt_ns = 0.03 .* \[circuit\] gate_on_ns = 50.0, "
+             r"gate_len_ns = 750.0"),
+            ("[grid]\nt_start_ns = 60\n",
+             r"\[grid\]: dt_ns = 0.1 .*t_start_ns = 60.0 .* \[circuit\] "
+             r"gate_on_ns"),
+            ("[grid]\ndt_ns = 1.0\n",
+             r"\[grid\]: dt_ns = 1.0 .*4 samples per cycle .*\[dds\] "
+             r"f_clk_mhz = 500.0, f_tune_mhz = 125.0"),
+        ]
+        for text, pattern in cases:
+            with pytest.raises(ValidationError, match=pattern):
+                parse_config(text)
+        # the limits themselves are accepted: the gate ends on the last
+        # sample, and f_S = 1.5 GHz gets 4 samples per cycle at 1/6 ns
+        parse_config("[grid]\nn_samples = 8001\n")
+        parse_config("[grid]\ndt_ns = 0.16666666666666666\n")
+
     def test_short_lifetime_accepted_on_finer_grid(self):
-        cfg = parse_config("[grid]\ndt_ns = 0.05\n"
+        cfg = parse_config("[grid]\ndt_ns = 0.05\nn_samples = 20000\n"
                            "[atom]\nexcited_lifetime_ns = 0.03\n")
         assert cfg.atom.gamma == pytest.approx(1.0 / 0.03e-9)
 

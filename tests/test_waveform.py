@@ -5,6 +5,7 @@ from pulsechain import (FitError, TimeGrid, ValidationError, Waveform,
                         analytic_envelope, apply_transfer, fit_exponential,
                         from_spectrum, one_pole_lowpass, read_trace,
                         to_spectrum, write_trace)
+from pulsechain.waveform import _TRACE_CHUNK, write_traces
 
 
 def wave(samples, dt=0.1e-9, t_start=0.0, unit=""):
@@ -294,4 +295,157 @@ class TestTraceIO:
         path = tmp_path / "bad.csv"
         path.write_text("time_s,value\n0.0,1.0\n1e-9,2.0\n3e-9,3.0\n")
         with pytest.raises(ValidationError, match="uniform"):
+            read_trace(path)
+
+
+# ---------------------------------------------------------------------------
+# oracles for the chunked trace writer and reader: the per-row writer and
+# per-line reader they replaced, kept as references
+# ---------------------------------------------------------------------------
+
+def write_trace_reference(path, w):
+    t = w.times()
+    lines = []
+    if np.any(w.samples.imag != 0.0):
+        lines.append("time_s,real,imag")
+        for ti, si in zip(t, w.samples):
+            lines.append(f"{float(ti)!r},{float(si.real)!r},{float(si.imag)!r}")
+    else:
+        lines.append("time_s,value")
+        for ti, si in zip(t, w.samples.real):
+            lines.append(f"{float(ti)!r},{float(si)!r}")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def read_trace_reference(path, unit=""):
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = fh.read().splitlines()
+    rows = [(i + 1, line.strip()) for i, line in enumerate(raw) if line.strip()]
+    if not rows:
+        raise ValidationError(f"{path}: empty trace file")
+    header = rows[0][1].replace(" ", "").lower()
+    if header == "time_s,real,imag":
+        ncol = 3
+    elif header == "time_s,value":
+        ncol = 2
+    else:
+        raise ValidationError(
+            f"{path}: line 1: unrecognized header {rows[0][1]!r}")
+    times = []
+    vals = []
+    for lineno, line in rows[1:]:
+        parts = line.split(",")
+        if len(parts) != ncol:
+            raise ValidationError(
+                f"{path}: line {lineno}: expected {ncol} columns, "
+                f"got {len(parts)}")
+        try:
+            nums = [float(p) for p in parts]
+        except ValueError as exc:
+            raise ValidationError(f"{path}: line {lineno}: {exc}") from None
+        times.append(nums[0])
+        vals.append(nums[1] if ncol == 2 else complex(nums[1], nums[2]))
+    if len(times) < 2:
+        raise ValidationError(f"{path}: trace needs at least 2 samples")
+    t = np.asarray(times)
+    dt = (t[-1] - t[0]) / (len(t) - 1)
+    if dt <= 0 or np.max(np.abs(np.diff(t) - dt)) > 1e-6 * dt:
+        raise ValidationError(f"{path}: sample times are not uniformly spaced")
+    grid = TimeGrid(t_start=float(t[0]), dt=float(dt), n_samples=len(t))
+    return Waveform(grid=grid, samples=np.asarray(vals), unit=unit)
+
+
+SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-5, 123456789.0, -1e-5, 0.1]
+TRACE_SIZES = [2, _TRACE_CHUNK - 1, _TRACE_CHUNK, _TRACE_CHUNK + 1,
+               3 * _TRACE_CHUNK + 7]
+
+
+def trace_set(n):
+    """Waveforms on two grids, one shorter than the other, covering the
+    formatter's special cases."""
+    rng = np.random.default_rng(n)
+    g1 = TimeGrid(-37.5e-9, 0.1e-9, n)
+    g2 = TimeGrid(3e-9, 0.25e-9, max(2, n // 3))
+    special = np.resize(SPECIAL, n)
+    sparse = np.where(rng.random(n) < 0.92, 0.0, rng.standard_normal(n))
+    sparse[rng.random(n) < 0.02] = -0.0
+    imag = np.where(rng.random(n) < 0.3, rng.standard_normal(n),
+                    np.resize([0.0, -0.0], n))
+    imag[0] = 0.5   # some nonzero imaginary part even at n = 2
+    return {
+        "special.csv": Waveform(g1, special),
+        "sparse.csv": Waveform(g1, sparse),
+        "complex.csv": Waveform(g1, rng.standard_normal(n) + 1j * imag),
+        "other_grid.csv": Waveform(g2, rng.standard_normal(g2.n_samples)),
+    }
+
+
+def assert_same_waveform(a, b):
+    assert a.grid == b.grid
+    assert np.array_equal(a.samples.view(np.int64), b.samples.view(np.int64))
+
+
+class TestTraceIOOracle:
+    @pytest.mark.parametrize("n", TRACE_SIZES)
+    def test_write_byte_identical_and_read_bit_equal(self, tmp_path, n):
+        waves = trace_set(n)
+        write_traces([(tmp_path / name, w) for name, w in waves.items()])
+        for name, w in waves.items():
+            ref = tmp_path / f"ref_{name}"
+            write_trace_reference(ref, w)
+            assert (tmp_path / name).read_bytes() == ref.read_bytes(), name
+            assert_same_waveform(read_trace(tmp_path / name),
+                                 read_trace_reference(ref))
+        single = tmp_path / "single.csv"
+        write_trace(single, waves["special.csv"])
+        assert single.read_bytes() == (tmp_path / "special.csv").read_bytes()
+        assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_read_tolerates_blanks_spaces_and_crlf(self, tmp_path, newline):
+        n = 2 * _TRACE_CHUNK + 5
+        for name, w in trace_set(n).items():
+            ref = tmp_path / f"ref_{name}"
+            write_trace_reference(ref, w)
+            lines = ref.read_text().splitlines()
+            for k in (3 * _TRACE_CHUNK // 2, _TRACE_CHUNK, 7, 1):
+                lines.insert(k, " " if k % 2 else "")
+            lines = ([" \t", ""] + lines[:40]
+                     + [f"  {line.replace(',', ' , ')}\t" for line in lines[40:90]]
+                     + lines[90:] + ["", "  "])
+            path = tmp_path / f"messy_{name}"
+            path.write_bytes(newline.join(lines).encode("utf-8"))
+            assert_same_waveform(read_trace(path), read_trace_reference(path))
+            assert_same_waveform(read_trace(path), read_trace_reference(ref))
+
+    @pytest.mark.parametrize("bad, pattern", [
+        ("1e-9,not_a_number", "could not convert"),
+        ("1e-9,1.0,2.0", "expected 2 columns, got 3"),
+        ("1e-9", "expected 2 columns, got 1"),
+    ])
+    def test_error_names_line_after_first_chunk(self, tmp_path, bad, pattern):
+        n = _TRACE_CHUNK + 50
+        ref = tmp_path / "ref.csv"
+        write_trace_reference(ref, Waveform(TimeGrid(0.0, 1e-9, n),
+                                            np.linspace(0.0, 1.0, n)))
+        lines = ref.read_text().splitlines()
+        k = _TRACE_CHUNK + 20       # line k + 1 holds sample k
+        lines.insert(k - 5, "")     # a blank line before the bad one
+        lines[k + 1] = bad
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        lineno = k + 2
+        with pytest.raises(ValidationError,
+                           match=rf"line {lineno}: {pattern}") as new:
+            read_trace(path)
+        with pytest.raises(ValidationError) as old:
+            read_trace_reference(path)
+        assert str(new.value) == str(old.value)
+
+    def test_first_error_in_chunk_wins(self, tmp_path):
+        # a bad value before a bad column count in the same chunk
+        path = tmp_path / "bad.csv"
+        path.write_text("time_s,value\n0.0,1.0\n1e-9,x\n2e-9,1,2\n")
+        with pytest.raises(ValidationError, match="line 3: could not"):
             read_trace(path)

@@ -13,9 +13,8 @@ from .detector import DetectorParams, detect, undershoot_fraction
 from .envelope import (CircuitParams, GatePulse, control_voltage_for_tau,
                        generate_envelope, shockley_current, simulate_circuit,
                        tau_from_control_voltage)
-from .eom import (ModulatorParams, bessel_j, decompose_sidebands, demodulate,
-                  distortion_fraction, phase_modulate, reconstruct_from_orders,
-                  sideband_amplitude, sideband_window)
+from .eom import (ModulatorParams, bessel_j, demodulate, distortion_fraction,
+                  phase_modulate, sideband_amplitude, sideband_window)
 from .errors import FitError, LeakageWarning, ValidationError
 from .etalon import (EtalonParams, EtalonStack, airy_transmission,
                      carrier_leak, filter_pulse, finesse, fwhm_hz,
@@ -42,9 +41,8 @@ __all__ = [
     "CircuitParams", "GatePulse", "control_voltage_for_tau",
     "generate_envelope", "shockley_current", "simulate_circuit",
     "tau_from_control_voltage",
-    "ModulatorParams", "bessel_j", "decompose_sidebands", "demodulate",
-    "distortion_fraction", "phase_modulate", "reconstruct_from_orders",
-    "sideband_amplitude", "sideband_window",
+    "ModulatorParams", "bessel_j", "demodulate", "distortion_fraction",
+    "phase_modulate", "sideband_amplitude", "sideband_window",
     "FitError", "LeakageWarning", "ValidationError",
     "EtalonParams", "EtalonStack", "airy_transmission", "carrier_leak",
     "filter_pulse", "finesse", "fwhm_hz", "photon_lifetime",

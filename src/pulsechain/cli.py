@@ -116,8 +116,6 @@ def _cmd_excite(args):
         print(f"t_at_max = {result.t_at_max:.6g} s")
         return
     report = run_chain(cfg, None)
-    if report.data["envelope"]["degenerate"]:
-        raise FitError("chain produced a degenerate (empty) pulse")
     atom_block = report.data.get("atom")
     if atom_block is None:
         raise ValidationError(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 from .atom import AtomParams, step_is_stable
 from .detector import DetectorParams
-from .envelope import CircuitParams, GatePulse, gate_in_grid
+from .envelope import MIN_GATE_SAMPLES, CircuitParams, GatePulse, gate_in_grid
 from .eom import ModulatorParams
 from .errors import ValidationError
 from .etalon import EtalonParams, EtalonStack
@@ -233,6 +233,13 @@ def _build(merged, stage_overrides):
             f"[{gate.t_on:g}, {gate.t_off:g}] s of [circuit] gate_on_ns = "
             f"{val('circuit', 'gate_on_ns')!r}, gate_len_ns = "
             f"{val('circuit', 'gate_len_ns')!r}")
+    on = grid.window_slice(gate.t_on, gate.t_off)
+    n_gate = on.stop - on.start
+    if n_gate < MIN_GATE_SAMPLES:
+        raise ValidationError(
+            f"config [grid]: dt_ns = {val('grid', 'dt_ns')!r} puts fewer "
+            f"than {MIN_GATE_SAMPLES} samples ({n_gate}) in the gate of "
+            f"[circuit] gate_len_ns = {val('circuit', 'gate_len_ns')!r}")
     f_s = dominant_tone(section_guard("bandpass", lambda: frequency_quadruple(
         apply_bandpass(dds_tones(dds), bandpass))))[0]
     if not resolves_carrier(f_s, grid.dt):

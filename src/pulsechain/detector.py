@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .waveform import Waveform, apply_transfer, one_pole_lowpass
+from .waveform import Waveform, one_pole_lowpass
 
 
 @dataclass(frozen=True)
@@ -35,15 +35,18 @@ def detect(field: Waveform, d: DetectorParams) -> Waveform:
 
     Invariant under a global phase of the field; nonnegative before
     filtering (the poles may introduce a small undershoot, see
-    :func:`undershoot_fraction`).
+    :func:`undershoot_fraction`).  The power is real and the pole product
+    Hermitian, so the filter is one real transform pair.
     """
     power = d.responsivity * np.abs(field.samples) ** 2
-    out = Waveform(grid=field.grid, samples=power, unit="V")
     poles = [one_pole_lowpass(bw) for bw in (d.bandwidth_hz, d.scope_bandwidth_hz)
              if bw is not None and np.isfinite(bw)]
     if poles:
-        out = apply_transfer(out, lambda f: math.prod(p(f) for p in poles))
-    return Waveform(grid=out.grid, samples=out.samples.real, unit="V")
+        f = np.fft.rfftfreq(len(power), field.grid.dt)
+        spec = np.fft.rfft(power)
+        spec *= math.prod(p(f) for p in poles)
+        power = np.fft.irfft(spec, len(power))
+    return Waveform(grid=field.grid, samples=power, unit="V")
 
 
 def undershoot_fraction(detected: Waveform):

@@ -17,6 +17,8 @@ import numpy as np
 from .errors import ValidationError
 from .waveform import TimeGrid, Waveform
 
+MIN_GATE_SAMPLES = 16  # the fewest gate samples a run fits its rise to
+
 
 @dataclass(frozen=True)
 class CircuitParams:

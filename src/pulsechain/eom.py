@@ -124,26 +124,3 @@ def sideband_window(f_s):
     """
     width = _DEMOD_REL_WIDTH * f_s
     return lambda f: np.exp(-np.log(2.0) * (f / width) ** 2)
-
-
-def decompose_sidebands(env: Waveform, f_s, n_orders):
-    """Split a phase-modulated field into per-order envelopes.
-
-    Order k is demodulated at k*f_s and low-passed with
-    :func:`sideband_window`.  Returns [(k, Waveform)] for
-    k = -n_orders..+n_orders.
-    """
-    if n_orders < 1:
-        raise ValidationError("decompose_sidebands: n_orders must be >= 1")
-    window = sideband_window(f_s)
-    return [(k, apply_transfer(demodulate(env, k * f_s), window))
-            for k in range(-n_orders, n_orders + 1)]
-
-
-def reconstruct_from_orders(orders, f_s, grid):
-    """Resum per-order envelopes: sum_k a_k(t) exp(+i 2 pi k f_s t)."""
-    t = grid.times()
-    total = np.zeros(grid.n_samples, dtype=np.complex128)
-    for k, w in orders:
-        total += w.samples * np.exp(2j * np.pi * (k * f_s) * t)
-    return Waveform(grid=grid, samples=total, unit="sqrtW")

@@ -8,7 +8,7 @@ same model that sets the line width.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,20 +77,38 @@ def airy_transmission(f_offset, e: EtalonParams):
     function either way.  A positive detuning puts the input above the
     transmission peak.
     """
-    f = np.asarray(f_offset, dtype=float)
-    delta = 2.0 * np.pi * (f + e.detuning_hz) / e.fsr_hz
-    r = e.reflectivity
-    half = np.exp(-0.5j * delta)   # e^{-i delta} is its square: one exp, not two
-    t = (1.0 - r) * half / (1.0 - r * (1.0 - e.loss) * (half * half))
-    return complex(t) if np.isscalar(f_offset) else t
+    return stack_transmission(f_offset, EtalonStack(stages=(e,)))
+
+
+_BLOCK = 16  # stages per division in stack_transmission
 
 
 def stack_transmission(f_offset, s: EtalonStack):
-    """Product of the per-stage amplitude transmissions."""
+    """Product of the per-stage amplitude transmissions.
+
+    A stage's e^{-i delta/2} is e^{-i pi f/FSR} e^{-i pi detuning/FSR}: one
+    complex exponential over the frequencies per distinct FSR, times a scalar
+    per stage.  The numerators (1-R) e^{-i delta/2} and the denominators
+    1 - R(1-loss) e^{-i delta} accumulate as two products, divided once per
+    block of at most ``_BLOCK`` stages: every factor lies between
+    1-R >= 2^-53 and 2 in magnitude, so a block product neither underflows
+    nor overflows.
+    """
     f = np.asarray(f_offset, dtype=float)
-    t = np.ones_like(f, dtype=np.complex128)
-    for e in s.stages:
-        t = t * airy_transmission(f, e)
+    phasors = {}  # FSR -> (e^{-i pi f/FSR}, its square)
+    t = 1.0
+    for lo in range(0, len(s.stages), _BLOCK):
+        gain = num = den = 1.0
+        for e in s.stages[lo:lo + _BLOCK]:
+            if e.fsr_hz not in phasors:
+                half = np.exp(-1j * np.pi / e.fsr_hz * f)
+                phasors[e.fsr_hz] = half, half * half
+            half, full = phasors[e.fsr_hz]
+            c = np.exp(-1j * np.pi * e.detuning_hz / e.fsr_hz)
+            gain *= (1.0 - e.reflectivity) * c
+            num = num * half
+            den = den * (1.0 - e.reflectivity * (1.0 - e.loss) * c * c * full)
+        t = t * (gain * num / den)
     return complex(t) if np.isscalar(f_offset) else t
 
 
@@ -149,10 +167,7 @@ def with_thermal_jitter(s: EtalonStack, rng):
     for e in s.stages:
         sigma_f = temperature_to_frequency(e.temp_jitter_k, e)
         shift = float(rng.normal(0.0, sigma_f))
-        stages.append(EtalonParams(
-            reflectivity=e.reflectivity, fsr_hz=e.fsr_hz,
-            detuning_hz=e.detuning_hz + shift, loss=e.loss,
-            temp_per_fsr_k=e.temp_per_fsr_k, temp_jitter_k=e.temp_jitter_k))
+        stages.append(replace(e, detuning_hz=e.detuning_hz + shift))
     return EtalonStack(stages=tuple(stages))
 
 

@@ -16,7 +16,8 @@ from ._version import __version__
 from .atom import excite
 from .config import ChainConfig, config_sha256, set_config_value
 from .detector import detect, undershoot_fraction
-from .envelope import simulate_circuit, tau_from_control_voltage
+from .envelope import (MIN_GATE_SAMPLES, simulate_circuit,
+                       tau_from_control_voltage)
 from .eom import bessel_j, demodulate, distortion_fraction, phase_modulate, sideband_window
 from .errors import FitError, ValidationError
 from .etalon import filter_pulse, photon_lifetime, stage_diagnostics, with_thermal_jitter
@@ -109,8 +110,12 @@ def run_chain(cfg: ChainConfig, outdir=None) -> RunReport:
                          lambda: simulate_circuit(cfg.circuit, gate, grid))
 
     peak = float(np.max(np.abs(v_out.samples)))
-    sl = grid.window_slice(gate.t_on, gate.t_off)
-    degenerate = peak <= 0.0 or (sl.stop - sl.start) < 16
+    on = grid.window_slice(gate.t_on, gate.t_off)
+    n_gate = on.stop - on.start
+    if n_gate < MIN_GATE_SAMPLES or peak <= 0.0:
+        raise _stage_error("envelope", (
+            f"{n_gate} samples in the gate and a {peak:g} V output peak; a run "
+            f"needs at least {MIN_GATE_SAMPLES} samples and a nonzero peak"))
 
     # fit window over the late on-interval, where I_C >> I0
     w_lo = gate.t_on + max(0.3 * gate.duration,
@@ -127,89 +132,87 @@ def run_chain(cfg: ChainConfig, outdir=None) -> RunReport:
             "tau_design_s": tau_design,
             "gate_on_s": gate.t_on, "gate_len_s": gate.duration,
             "v_out_peak_v": peak,
-            "degenerate": bool(degenerate),
-            "fit": None if degenerate else _try_fit(v_out, (w_lo, w_hi), "rising"),
+            "fit": _try_fit(v_out, (w_lo, w_hi), "rising"),
         },
     }
 
     traces = {"v_be.csv": v_be, "v_out.csv": v_out}
 
-    if not degenerate:
-        tones = _stage("rf", lambda: dds_tones(cfg.dds))
-        tones_bpf = _stage("rf", lambda: apply_bandpass(tones, cfg.bandpass))
-        tones_rf = _stage("rf", lambda: frequency_quadruple(tones_bpf))
-        f_s = dominant_tone(tones_rf)[0]
-        if cfg.eom.bandwidth_hz <= f_s:
-            raise _stage_error(
-                "eom", f"modulator bandwidth {cfg.eom.bandwidth_hz:g} Hz "
-                f"must exceed the carrier f_S = {f_s:g} Hz")
-        rf = _stage("rf", lambda: mix_envelope(v_out, f_s, cfg.mixer))
-        rf_env = analytic_envelope(rf)
-        report["rf"] = {
-            "f_s_hz": f_s,
-            "tones_after_bandpass": [
-                {"f_hz": f, "amplitude": a} for f, a in tones_bpf],
-            "spurs_at_output": [
-                {"f_hz": f, "dbc": 20.0 * np.log10(a) if a > 0 else None}
-                for f, a in tones_rf if a < 1.0],
-            "envelope_fit": _try_fit(rf_env, rf_window, "rising"),
-        }
-        traces["rf_drive.csv"] = rf
+    tones = _stage("rf", lambda: dds_tones(cfg.dds))
+    tones_bpf = _stage("rf", lambda: apply_bandpass(tones, cfg.bandpass))
+    tones_rf = _stage("rf", lambda: frequency_quadruple(tones_bpf))
+    f_s = dominant_tone(tones_rf)[0]
+    if cfg.eom.bandwidth_hz <= f_s:
+        raise _stage_error(
+            "eom", f"modulator bandwidth {cfg.eom.bandwidth_hz:g} Hz "
+            f"must exceed the carrier f_S = {f_s:g} Hz")
+    rf = _stage("rf", lambda: mix_envelope(v_out, f_s, cfg.mixer))
+    rf_env = analytic_envelope(rf)
+    report["rf"] = {
+        "f_s_hz": f_s,
+        "tones_after_bandpass": [
+            {"f_hz": f, "amplitude": a} for f, a in tones_bpf],
+        "spurs_at_output": [
+            {"f_hz": f, "dbc": 20.0 * np.log10(a) if a > 0 else None}
+            for f, a in tones_rf if a < 1.0],
+        "envelope_fit": _try_fit(rf_env, rf_window, "rising"),
+    }
+    traces["rf_drive.csv"] = rf
 
-        x_peak = cfg.eom.drive_scale * float(np.max(np.abs(rf.samples.real))) / cfg.eom.v_pi
-        field = _stage("eom", lambda: phase_modulate(rf, cfg.eom))
-        # the +1 sideband, shifted to baseband; its window is applied
-        # together with the cascade in one spectral pass below
-        shifted = _stage("eom", lambda: demodulate(field, f_s))
-        report["eom"] = {
-            "x_peak_vrf_over_vpi": x_peak,
-            "carrier_j0": bessel_j(0, np.pi * x_peak),
-            "sideband_j1": bessel_j(1, np.pi * x_peak),
-            "distortion_fraction": distortion_fraction(x_peak),
-        }
+    x_peak = cfg.eom.drive_scale * float(np.max(np.abs(rf.samples.real))) / cfg.eom.v_pi
+    field = _stage("eom", lambda: phase_modulate(rf, cfg.eom))
+    # the +1 sideband, shifted to baseband; its window is applied
+    # together with the cascade in one spectral pass below
+    shifted = _stage("eom", lambda: demodulate(field, f_s))
+    report["eom"] = {
+        "x_peak_vrf_over_vpi": x_peak,
+        "carrier_j0": bessel_j(0, np.pi * x_peak),
+        "sideband_j1": bessel_j(1, np.pi * x_peak),
+        "distortion_fraction": distortion_fraction(x_peak),
+    }
 
-        stack = cfg.etalon
-        if cfg.apply_temp_jitter:
-            stack = with_thermal_jitter(stack, np.random.default_rng(cfg.seed))
-        filtered = _stage("etalon", lambda: filter_pulse(
-            shifted, stack, pre_gain=sideband_window(f_s)))
-        diag = stage_diagnostics(stack, carrier_offset_hz=-f_s)
-        ring_amp = max(photon_lifetime(e) for e in stack.stages)
-        report["etalon"] = {
-            **diag,
-            "rise_fit": _try_fit(filtered, rf_window, "rising"),
-            "single_stage_ringdown_s": ring_amp,
-        }
-        traces["filtered_envelope.csv"] = filtered
+    stack = cfg.etalon
+    if cfg.apply_temp_jitter:
+        stack = with_thermal_jitter(stack, np.random.default_rng(cfg.seed))
+    filtered = _stage("etalon", lambda: filter_pulse(
+        shifted, stack, pre_gain=sideband_window(f_s)))
+    diag = stage_diagnostics(stack, carrier_offset_hz=-f_s)
+    ring_amp = max(photon_lifetime(e) for e in stack.stages)
+    report["etalon"] = {
+        **diag,
+        "rise_fit": _try_fit(filtered, rf_window, "rising"),
+        "single_stage_ringdown_s": ring_amp,
+    }
+    traces["filtered_envelope.csv"] = filtered
 
-        det = _stage("detector", lambda: detect(filtered, cfg.detector))
-        # the cascade group delay shifts the cutoff; anchor the decay-fit
-        # window at the detected peak and stop it at 1% of the peak, before
-        # any residual mixer-leak floor flattens the tail
-        dp = det.samples.real
-        k_peak = int(np.argmax(dp))
-        t_peak_det = grid.t_start + grid.dt * k_peak
-        below = np.nonzero(dp[k_peak:] < 0.01 * dp[k_peak])[0]
-        t_floor = grid.t_start + grid.dt * (k_peak + int(below[0])) \
-            if len(below) else grid.t_end - grid.dt
-        fall_window = (t_peak_det + max(0.5 * ring_amp, 2.0 * grid.dt),
-                       min(t_floor, grid.t_end - grid.dt))
-        report["detector"] = {
-            "rise_fit": _try_fit(det, rf_window, "rising"),
-            "fall_fit": _try_fit(det, fall_window, "falling"),
-            "undershoot_fraction": undershoot_fraction(det),
-        }
-        traces["detected_power.csv"] = det
+    det = _stage("detector", lambda: detect(filtered, cfg.detector))
+    # the cascade group delay shifts the cutoff; anchor the decay-fit
+    # window at the detected peak and stop it at 1% of the peak, before
+    # any residual mixer-leak floor flattens the tail
+    dp = det.samples.real
+    k_peak = int(np.argmax(dp))
+    t_peak_det = grid.t_start + grid.dt * k_peak
+    below = np.nonzero(dp[k_peak:] < 0.01 * dp[k_peak])[0]
+    t_floor = grid.t_start + grid.dt * (k_peak + int(below[0])) \
+        if len(below) else grid.t_end - grid.dt
+    fall_window = (t_peak_det + max(0.5 * ring_amp, 2.0 * grid.dt),
+                   min(t_floor, grid.t_end - grid.dt))
+    report["detector"] = {
+        "rise_fit": _try_fit(det, rf_window, "rising"),
+        "fall_fit": _try_fit(det, fall_window, "falling"),
+        "undershoot_fraction": undershoot_fraction(det),
+    }
+    traces["detected_power.csv"] = det
 
-        if cfg.run_excitation:
-            res = _stage("atom", lambda: excite(filtered, cfg.atom))
-            bound = cfg.atom.lambda_overlap
-            report["atom"] = {
-                "p_max": res.p_max,
-                "t_at_max_s": res.t_at_max,
-                "matched_pulse_bound": bound,
-                "efficiency_vs_matched": res.p_max / bound if bound > 0 else None,
-            }
+    if cfg.run_excitation:
+        res = _stage("atom", lambda: excite(filtered, cfg.atom))
+        bound = cfg.atom.lambda_overlap
+        report["atom"] = {
+            "p_max": res.p_max,
+            "t_at_max_s": res.t_at_max,
+            "matched_pulse_bound": bound,
+            "efficiency_vs_matched": res.p_max / bound if bound > 0 else None,
+        }
 
     report["traces"] = sorted(traces)
     out = RunReport(data=_py(report))

@@ -111,11 +111,11 @@ class Waveform:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Complex amplitudes vs frequency offset from the carrier."""
+    """Complex amplitudes vs frequency offset from the carrier, in FFT order:
+    bin k holds offset k*df, the upper half wrapping to negative offsets."""
 
     df: float
     amplitudes: np.ndarray
-    f_offset_start: float
 
     def __post_init__(self):
         a = np.array(self.amplitudes, dtype=np.complex128, copy=True)
@@ -133,14 +133,14 @@ class Spectrum:
         return len(self.amplitudes)
 
     def frequencies(self):
-        return self.f_offset_start + self.df * np.arange(self.n_bins)
+        return np.fft.fftfreq(self.n_bins, 1.0 / (self.n_bins * self.df))
 
     def norm2(self):
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
 
 def to_spectrum(w: Waveform) -> Spectrum:
-    """Forward DFT of a waveform, bins ordered from most negative offset.
+    """Forward DFT of a waveform, bins in FFT order (see :class:`Spectrum`).
 
     Uses the exp(-i 2 pi f t) sign convention and 1/sqrt(N) normalization,
     so ``norm2`` is preserved exactly and ``from_spectrum`` inverts it to
@@ -149,9 +149,9 @@ def to_spectrum(w: Waveform) -> Spectrum:
     if not np.all(np.isfinite(w.samples)):
         raise ValidationError("cannot transform non-finite samples")
     n = w.grid.n_samples
-    amps = np.fft.fftshift(np.fft.fft(w.samples)) / np.sqrt(n)
-    df = 1.0 / (n * w.grid.dt)
-    return Spectrum(df=df, amplitudes=amps, f_offset_start=-(n // 2) * df)
+    amps = np.fft.fft(w.samples)
+    amps /= np.sqrt(n)
+    return Spectrum(df=1.0 / (n * w.grid.dt), amplitudes=amps)
 
 
 def from_spectrum(s: Spectrum, t_start=0.0) -> Waveform:
@@ -176,7 +176,8 @@ def filter_spectrum(s: Spectrum, gain, grid: TimeGrid, unit="") -> Waveform:
     if not np.all(np.isfinite(h)):
         raise ValidationError("transfer function returned non-finite values")
     amps = np.broadcast_to(h, s.amplitudes.shape) * s.amplitudes
-    out = np.fft.ifft(np.fft.ifftshift(amps)) * np.sqrt(s.n_bins)
+    out = np.fft.ifft(amps)
+    out *= np.sqrt(s.n_bins)
     return Waveform(grid=grid, samples=out, unit=unit)
 
 
@@ -201,19 +202,15 @@ def one_pole_lowpass(f_c):
 def analytic_envelope(w: Waveform) -> Waveform:
     """Magnitude of the analytic signal of the real part of ``w``.
 
-    Recovers the modulation envelope of a band-limited RF burst.
+    Recovers the modulation envelope of a band-limited RF burst as
+    hypot(x, y), y the Hilbert transform of x: the spectrum -i X(f) on f > 0,
+    zero at DC and at Nyquist.  ``irfft`` takes those two bins as real, so
+    their purely imaginary -i X drops out without being zeroed.
     """
     x = w.samples.real
-    n = len(x)
-    spec = np.fft.fft(x)
-    gain = np.zeros(n)
-    gain[0] = 1.0
-    if n % 2 == 0:
-        gain[n // 2] = 1.0
-        gain[1:n // 2] = 2.0
-    else:
-        gain[1:(n + 1) // 2] = 2.0
-    env = np.abs(np.fft.ifft(spec * gain))
+    spec = np.fft.rfft(x)
+    spec *= -1j
+    env = np.hypot(x, np.fft.irfft(spec, len(x)))
     return Waveform(grid=w.grid, samples=env, unit=w.unit)
 
 

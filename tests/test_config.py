@@ -107,14 +107,21 @@ class TestValidation:
             ("[grid]\ndt_ns = 1.0\n",
              r"\[grid\]: dt_ns = 1.0 .*4 samples per cycle .*\[dds\] "
              r"f_clk_mhz = 500.0, f_tune_mhz = 125.0"),
+            ("[circuit]\ngate_len_ns = 1.4\n",
+             r"\[grid\]: dt_ns = 0.1 .*fewer than 16 samples \(15\) .*"
+             r"\[circuit\] gate_len_ns = 1.4"),
+            ("[circuit]\ngate_len_ns = 0.01\n",
+             r"\[grid\]: dt_ns = 0.1 .*\(1\) .*gate_len_ns = 0.01"),
         ]
         for text, pattern in cases:
             with pytest.raises(ValidationError, match=pattern):
                 parse_config(text)
         # the limits themselves are accepted: the gate ends on the last
-        # sample, and f_S = 1.5 GHz gets 4 samples per cycle at 1/6 ns
+        # sample, f_S = 1.5 GHz gets 4 samples per cycle at 1/6 ns, and a
+        # 1.5 ns gate holds 16 samples
         parse_config("[grid]\nn_samples = 8001\n")
         parse_config("[grid]\ndt_ns = 0.16666666666666666\n")
+        parse_config("[circuit]\ngate_len_ns = 1.5\n")
 
     def test_short_lifetime_accepted_on_finer_grid(self):
         cfg = parse_config("[grid]\ndt_ns = 0.05\nn_samples = 20000\n"

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from pulsechain import (DetectorParams, EtalonStack, TimeGrid, ValidationError,
-                        Waveform, detect, filter_pulse, fit_exponential,
-                        undershoot_fraction)
+                        Waveform, apply_transfer, detect, filter_pulse,
+                        fit_exponential, one_pole_lowpass, undershoot_fraction)
 
 GRID = TimeGrid(0.0, 0.1e-9, 10000)
 WIDE_OPEN = DetectorParams(bandwidth_hz=None, scope_bandwidth_hz=None)
@@ -85,3 +87,38 @@ class TestBandwidth:
             DetectorParams(bandwidth_hz=0.0)
         with pytest.raises(ValidationError):
             DetectorParams(responsivity=0.0)
+
+
+def detect_reference(field, d):
+    # the complex-transform path: |field|^2 as a complex waveform, the pole
+    # product over the full spectrum, the real part of the inverse
+    out = Waveform(grid=field.grid,
+                   samples=d.responsivity * np.abs(field.samples) ** 2, unit="V")
+    poles = [one_pole_lowpass(bw) for bw in (d.bandwidth_hz, d.scope_bandwidth_hz)
+             if bw is not None and np.isfinite(bw)]
+    if poles:
+        out = apply_transfer(out, lambda f: math.prod(p(f) for p in poles))
+    return out.samples.real
+
+
+class TestRealTransformOracle:
+    @pytest.mark.parametrize("n", [10000, 10001])
+    @pytest.mark.parametrize("d", [
+        DetectorParams(),                                    # two poles
+        DetectorParams(bandwidth_hz=None),                   # one pole
+        DetectorParams(bandwidth_hz=3e9, scope_bandwidth_hz=np.inf,
+                       responsivity=0.7),                    # one pole
+        WIDE_OPEN,                                           # no pole
+    ])
+    def test_detect_matches_complex_path(self, n, d):
+        grid = TimeGrid(0.0, 0.1e-9, n)
+        rng = np.random.default_rng(n)
+        t = grid.times()
+        x = np.where(t < 400e-9, np.exp((t - 400e-9) / 17.4e-9), 0.0) * \
+            np.exp(1j * rng.uniform(0, 2 * np.pi, n)) + \
+            0.01 * rng.standard_normal(n)
+        field = Waveform(grid=grid, samples=x, unit="sqrtW")
+        got = detect(field, d).samples
+        ref = detect_reference(field, d)
+        assert np.all(got.imag == 0.0)
+        assert np.max(np.abs(got.real - ref)) <= 1e-14 * np.max(np.abs(ref))

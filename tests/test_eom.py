@@ -3,10 +3,10 @@ import pytest
 from scipy import special
 
 from pulsechain import (MixerParams, ModulatorParams, TimeGrid,
-                        ValidationError, Waveform, bessel_j,
-                        decompose_sidebands, distortion_fraction,
-                        mix_envelope, phase_modulate, reconstruct_from_orders,
-                        sideband_amplitude, to_spectrum)
+                        ValidationError, Waveform, apply_transfer, bessel_j,
+                        demodulate, distortion_fraction, mix_envelope,
+                        phase_modulate, sideband_amplitude, sideband_window,
+                        to_spectrum)
 
 GRID = TimeGrid(0.0, 0.1e-9, 10000)  # 1.5 GHz is exactly on a 1 MHz bin
 F_S = 1.5e9
@@ -18,6 +18,31 @@ J0_PI = -0.3042421776440939
 J0_01PI = 0.9754777740752495
 DIST_01 = 0.012286375788594706
 DIST_02 = 0.04854292305585417
+
+
+# All-order sideband analysis, kept as the oracle for the one-sideband path
+# that run_chain takes (see also test_optical_path.py).
+
+def decompose_sidebands(env, f_s, n_orders):
+    """Split a phase-modulated field into per-order envelopes.
+
+    Order k is demodulated at k*f_s and low-passed with ``sideband_window``.
+    Returns [(k, Waveform)] for k = -n_orders..+n_orders.
+    """
+    if n_orders < 1:
+        raise ValidationError("decompose_sidebands: n_orders must be >= 1")
+    window = sideband_window(f_s)
+    return [(k, apply_transfer(demodulate(env, k * f_s), window))
+            for k in range(-n_orders, n_orders + 1)]
+
+
+def reconstruct_from_orders(orders, f_s, grid):
+    """Resum per-order envelopes: sum_k a_k(t) exp(+i 2 pi k f_s t)."""
+    t = grid.times()
+    total = np.zeros(grid.n_samples, dtype=np.complex128)
+    for k, w in orders:
+        total += w.samples * np.exp(2j * np.pi * (k * f_s) * t)
+    return Waveform(grid=grid, samples=total, unit="sqrtW")
 
 
 def cw_drive(x, f_s=F_S, v_pi=1.7):

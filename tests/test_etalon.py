@@ -7,9 +7,10 @@ import pytest
 from pulsechain import (EtalonParams, EtalonStack, LeakageWarning, TimeGrid,
                         ValidationError, Waveform, airy_transmission,
                         carrier_leak, filter_pulse, finesse, fit_exponential,
-                        fwhm_hz, photon_lifetime, stack_extinction_db,
-                        stack_transmission, stage_diagnostics,
-                        temperature_to_frequency, with_thermal_jitter)
+                        fwhm_hz, parse_config, photon_lifetime,
+                        stack_extinction_db, stack_transmission,
+                        stage_diagnostics, temperature_to_frequency,
+                        with_thermal_jitter)
 
 GRID = TimeGrid(0.0, 0.1e-9, 10000)
 
@@ -232,3 +233,85 @@ class TestTemperature:
         sigma = temperature_to_frequency(EtalonParams().temp_jitter_k,
                                          EtalonParams())
         assert all(abs(e.detuning_hz) < 6 * sigma for e in a.stages)
+
+
+def airy_reference(f_offset, e):
+    # one stage, one complex exponential and one division
+    f = np.asarray(f_offset, dtype=float)
+    delta = 2.0 * np.pi * (f + e.detuning_hz) / e.fsr_hz
+    r = e.reflectivity
+    half = np.exp(-0.5j * delta)
+    return (1.0 - r) * half / (1.0 - r * (1.0 - e.loss) * (half * half))
+
+
+def stack_transmission_reference(f_offset, s):
+    # the per-stage product of the single-stage formula
+    t = np.ones_like(np.asarray(f_offset, dtype=float), dtype=np.complex128)
+    for e in s.stages:
+        t = t * airy_reference(f_offset, e)
+    return t
+
+
+# the spectral support of the default grid: +-5 GHz in 1 MHz bins
+GRID_FREQS = np.fft.fftfreq(GRID.n_samples, GRID.dt)
+STACKS = {
+    "identical": EtalonStack.identical(3),
+    "jittered": with_thermal_jitter(EtalonStack.identical(3),
+                                    np.random.default_rng(7)),
+    "lossy": EtalonStack(stages=(
+        EtalonParams(reflectivity=0.9, loss=0.02, detuning_hz=40e6),
+        EtalonParams(),
+        EtalonParams(reflectivity=0.99, loss=0.005, detuning_hz=-3e6))),
+    "mixed_fsr": with_thermal_jitter(
+        parse_config("[etalon]\nstage2_fsr_ghz = 12\n"
+                     "stage3_fsr_ghz = 23.5\n").etalon,
+        np.random.default_rng(3)),
+    "mixed_fsr_shared": EtalonStack(stages=(
+        EtalonParams(fsr_hz=17e9), EtalonParams(fsr_hz=9e9),
+        EtalonParams(fsr_hz=17e9, detuning_hz=2e6))),
+}
+
+
+class TestStackOracle:
+    @pytest.mark.parametrize("e", list(STACKS["lossy"].stages))
+    def test_single_stage_matches_formula(self, e):
+        ref = airy_reference(GRID_FREQS, e)
+        got = airy_transmission(GRID_FREQS, e)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert isinstance(airy_transmission(1.5e9, e), complex)
+
+    @pytest.mark.parametrize("name", sorted(STACKS))
+    def test_matches_per_stage_product(self, name):
+        s = STACKS[name]
+        ref = stack_transmission_reference(GRID_FREQS, s)
+        got = stack_transmission(GRID_FREQS, s)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("name", sorted(STACKS))
+    def test_scalar_input(self, name):
+        s = STACKS[name]
+        for f in (0.0, 1.5e9, -4.2e9):
+            got = stack_transmission(f, s)
+            assert isinstance(got, complex)
+            assert abs(got - complex(stack_transmission_reference(f, s))) \
+                <= 1e-13
+
+    def test_400_stages_finite(self):
+        # 25 blocks of 16; a single division over all 400 stages would
+        # underflow both products to 0 and give 0/0
+        s = EtalonStack.identical(400)
+        ref = stack_transmission_reference(GRID_FREQS, s)
+        got = stack_transmission(GRID_FREQS, s)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert abs(got[0]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_400_stages_at_highest_reflectivity_finite(self):
+        # 1 - R = 2^-52: a block's numerator and denominator products reach
+        # 2^-832 at resonance; more than 20 stages per block would underflow
+        # them to 0 and give 0/0
+        s = EtalonStack.identical(400, EtalonParams(reflectivity=1 - 2**-52))
+        got = stack_transmission(GRID_FREQS, s)
+        assert np.all(np.isfinite(got))
+        assert got[0] == 1.0
+        assert np.all(got[1:] == 0.0)  # off resonance the product underflows

@@ -1,9 +1,9 @@
 """The one-pass optical path against the composition it replaced.
 
 The references below are the former per-stage path, kept here as oracles:
-all sideband orders by ``decompose_sidebands`` with order +1 kept, then the
-cascade as its own transform pair, then one transform pair per detector
-pole.  The one-pass path demodulates at +f_S, applies the sideband window and
+all sideband orders by ``decompose_sidebands`` (in test_eom.py) with order +1
+kept, then the cascade as its own transform pair, then one transform pair per
+detector pole.  The one-pass path demodulates at +f_S, applies the sideband window and
 the cascade as one gain between one forward and one inverse transform, and
 the detector applies the product of its poles in one pair.
 """
@@ -15,12 +15,12 @@ import pytest
 
 from pulsechain import (DetectorParams, LeakageWarning, Waveform,
                         apply_bandpass, apply_transfer, dds_tones,
-                        decompose_sidebands, default_config, demodulate,
-                        detect, dominant_tone, filter_pulse,
-                        frequency_quadruple, mix_envelope, one_pole_lowpass,
-                        parse_config, phase_modulate, run_chain,
-                        sideband_window, simulate_circuit, stack_transmission,
-                        with_thermal_jitter)
+                        default_config, demodulate, detect, dominant_tone,
+                        filter_pulse, frequency_quadruple, mix_envelope,
+                        one_pole_lowpass, parse_config, phase_modulate,
+                        run_chain, sideband_window, simulate_circuit,
+                        stack_transmission, with_thermal_jitter)
+from test_eom import decompose_sidebands
 
 ROUNDOFF = 1e-12   # of the trace peak
 
@@ -100,7 +100,8 @@ def test_repeated_peaks_do_not_fake_leakage():
 
 
 def test_default_run_makes_six_ffts(monkeypatch):
-    # analytic envelope, sideband + cascade, detector: one pair each
+    # analytic envelope and detector: one real pair each; sideband +
+    # cascade: the one complex pair
     calls = []
     for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn"):
         fn = getattr(np.fft, name)
@@ -111,4 +112,4 @@ def test_default_run_makes_six_ffts(monkeypatch):
 
         monkeypatch.setattr(np.fft, name, counted)
     run_chain(default_config())
-    assert sorted(calls) == ["fft"] * 3 + ["ifft"] * 3
+    assert sorted(calls) == ["fft", "ifft", "irfft", "irfft", "rfft", "rfft"]

@@ -99,12 +99,15 @@ class TestSpecialConfigs:
         assert 20.0 <= rep["etalon"]["cascade_extinction_db"] <= 22.0
 
     def test_zero_length_gate_degenerate(self):
-        cfg = parse_config("[circuit]\ngate_len_ns = 0.01\n")
-        rep = run_chain(cfg).data
-        assert rep["envelope"]["degenerate"] is True
-        assert rep["envelope"]["v_out_peak_v"] == 0.0
-        assert "rf" not in rep
-        assert "atom" not in rep
+        # a gate too short for the grid is refused at parse, naming both
+        # keys; a config built directly meets the envelope stage's check
+        with pytest.raises(ValidationError,
+                           match=r"\[grid\]: dt_ns = 0.1 .*\[circuit\] gate_len_ns"):
+            parse_config("[circuit]\ngate_len_ns = 0.01\n")
+        cfg = dataclasses.replace(default_config(),
+                                  gate=GatePulse(t_on=50e-9, duration=0.01e-9))
+        with pytest.raises(ValidationError, match="stage 'envelope'"):
+            run_chain(cfg)
 
     def test_excitation_can_be_disabled(self):
         cfg = parse_config("[atom]\nrun_excitation = false\n")

@@ -1,7 +1,6 @@
 """Property test of the config boundary for the atom stage: any values of
 the keys that set the excitation integrator end in a ValidationError that
-names its section, or in a strict-JSON report with a finite p_max (or, for
-a gate the grid cannot resolve, one marked degenerate)."""
+names its section, or in a strict-JSON report with a finite p_max."""
 
 import json
 import math
@@ -41,9 +40,4 @@ def test_atom_keys_validate_or_report_finite(draw):
         assert re.search(r"\[\w+\]", str(exc)), f"names no [section]: {exc}"
         return
     data = json.loads(report.to_json(), parse_constant=pytest.fail)
-    if data["envelope"]["degenerate"]:
-        # a grid too coarse to resolve the gate: the report says so and
-        # runs no later stage
-        assert "atom" not in data
-    else:
-        assert math.isfinite(data["atom"]["p_max"])
+    assert math.isfinite(data["atom"]["p_max"])

@@ -252,6 +252,36 @@ class TestAnalyticEnvelope:
         assert np.max(np.abs(env[interior] - 1.0)) < 0.02
 
 
+def analytic_envelope_reference(w):
+    # the full complex transform with the one-sided gain: 1 at DC (and at
+    # Nyquist for even n), 2 on positive frequencies, 0 on negative ones
+    x = w.samples.real
+    n = len(x)
+    gain = np.zeros(n)
+    gain[0] = 1.0
+    if n % 2 == 0:
+        gain[n // 2] = 1.0
+        gain[1:n // 2] = 2.0
+    else:
+        gain[1:(n + 1) // 2] = 2.0
+    return np.abs(np.fft.ifft(np.fft.fft(x) * gain))
+
+
+class TestAnalyticEnvelopeOracle:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 10000, 10001])
+    def test_matches_full_transform(self, n):
+        rng = np.random.default_rng(n)
+        # a DC offset, a tone burst, noise and an imaginary part to ignore
+        t = np.arange(n)
+        x = 0.3 + np.cos(0.9 * t) * (t > n // 3) + \
+            0.1 * rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        w = wave(x)
+        got = analytic_envelope(w).samples
+        ref = analytic_envelope_reference(w)
+        assert np.all(got.imag == 0.0)
+        assert np.max(np.abs(got.real - ref)) <= 1e-14 * np.max(ref)
+
+
 class TestTraceIO:
     def test_complex_roundtrip(self, tmp_path):
         rng = np.random.default_rng(9)

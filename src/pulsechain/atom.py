@@ -196,10 +196,13 @@ def _probability_trace(pulse_mode: Waveform, a: AtomParams):
             "use a finer sample spacing")
     power = np.abs(pulse_mode.samples) ** 2
     norm2 = (power.sum() - 0.5 * (power[0] + power[-1])) * dt
+    del power
     if norm2 <= 0.0:
         raise ValidationError("excite: pulse mode has zero energy")
-    xi = np.ascontiguousarray(pulse_mode.samples / np.sqrt(norm2))
-    return np.abs(_excite_scan(xi, dt, *_amplitude_coefs(a))) ** 2
+    # x * (1/s), as numpy divides a complex x by a real s, for any dtype
+    xi = pulse_mode.samples * (1.0 / np.sqrt(norm2))
+    p = np.abs(_excite_scan(xi, dt, *_amplitude_coefs(a)))
+    return np.square(p, out=p)
 
 
 def rising_exponential_pulse(grid: TimeGrid, tau_amp, t_cut) -> Waveform:
@@ -213,6 +216,7 @@ def rising_exponential_pulse(grid: TimeGrid, tau_amp, t_cut) -> Waveform:
     t = grid.times()
     x = np.where(t <= t_cut + 1e-9 * grid.dt,
                  np.exp((t - t_cut) / tau_amp), 0.0)
+    x.flags.writeable = False
     return Waveform(grid=grid, samples=x, unit="sqrtW")
 
 
@@ -223,6 +227,7 @@ def falling_exponential_pulse(grid: TimeGrid, tau_amp, t_begin) -> Waveform:
     t = grid.times()
     x = np.where(t >= t_begin - 1e-9 * grid.dt,
                  np.exp(-(t - t_begin) / tau_amp), 0.0)
+    x.flags.writeable = False
     return Waveform(grid=grid, samples=x, unit="sqrtW")
 
 

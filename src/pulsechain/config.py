@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from .atom import AtomParams, step_is_stable
 from .detector import DetectorParams
 from .envelope import MIN_GATE_SAMPLES, CircuitParams, GatePulse, gate_in_grid
-from .eom import ModulatorParams
+from .eom import ModulatorParams, window_spans_bin
 from .errors import ValidationError
 from .etalon import EtalonParams, EtalonStack
 from .rfchain import (BandpassSpec, DdsParams, MixerParams, apply_bandpass,
@@ -27,6 +27,9 @@ from .waveform import TimeGrid
 
 _STAGE_KEY = re.compile(
     r"^stage(\d+)_(reflectivity|fsr_ghz|detuning_mhz|loss|temp_per_fsr_k)$")
+
+MAX_STAGES = 1000   # [etalon] n_stages: parsing builds every stage
+MAX_IMAGES = 1000   # [dds] n_images: parsing builds every image tone
 
 # kind: f float, i int, b bool, inf float-or-inf, rej rejection list
 _SCHEMA = {
@@ -200,6 +203,11 @@ def _build(merged, stage_overrides):
         except ValidationError as exc:
             raise ValidationError(f"config [{section}]: {exc}") from None
 
+    for section, key, limit in (("etalon", "n_stages", MAX_STAGES),
+                                ("dds", "n_images", MAX_IMAGES)):
+        if val(section, key) > limit:
+            raise ValidationError(
+                f"config [{section}] {key} = {val(section, key)} exceeds {limit}")
     grid = section_guard("grid", lambda: TimeGrid(
         t_start=si("grid", "t_start_ns", 1e-9),
         dt=si("grid", "dt_ns", 1e-9),
@@ -249,6 +257,12 @@ def _build(merged, stage_overrides):
             f"[dds] f_clk_mhz = {val('dds', 'f_clk_mhz')!r}, f_tune_mhz = "
             f"{val('dds', 'f_tune_mhz')!r} and [bandpass] f_center_mhz = "
             f"{val('bandpass', 'f_center_mhz')!r} select")
+    if not window_spans_bin(f_s, grid):
+        raise ValidationError(
+            f"config [dds]: f_tune_mhz = {val('dds', 'f_tune_mhz')!r} with "
+            f"[bandpass] gives f_S = {f_s:g} Hz, whose sideband window is less "
+            f"than one frequency bin of [grid] n_samples = {grid.n_samples}, "
+            f"dt_ns = {val('grid', 'dt_ns')!r}")
     mixer = section_guard("mixer", lambda: MixerParams(
         conversion_gain=val("mixer", "conversion_gain"),
         lo_leak_db=val("mixer", "lo_leak_db"),

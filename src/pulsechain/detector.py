@@ -46,6 +46,7 @@ def detect(field: Waveform, d: DetectorParams) -> Waveform:
         spec = np.fft.rfft(power)
         spec *= math.prod(p(f) for p in poles)
         power = np.fft.irfft(spec, len(power))
+    power.flags.writeable = False
     return Waveform(grid=field.grid, samples=power, unit="V")
 
 

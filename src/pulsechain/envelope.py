@@ -153,6 +153,7 @@ def simulate_circuit(p: CircuitParams, gates, grid: TimeGrid):
         v0 = v0 + step * (on.stop - on.start)
         pos = on.stop
     v_be[pos:] = v0 * np.power(decay, np.arange(n - pos))
+    v_be.flags.writeable = v_out.flags.writeable = False
     return (Waveform(grid=grid, samples=v_be, unit="V"),
             Waveform(grid=grid, samples=v_out, unit="V"))
 

@@ -96,10 +96,12 @@ def phase_modulate(drive: Waveform, m: ModulatorParams) -> Waveform:
         raise ValidationError(
             "phase_modulate: |drive|*drive_scale exceeds the 5*v_pi sanity bound")
     if m.apply_bandwidth_rolloff:
+        v.flags.writeable = False
         shaped = apply_transfer(Waveform(grid=drive.grid, samples=v, unit="V"),
                                 one_pole_lowpass(m.bandwidth_hz))
         v = shaped.samples.real
     env = np.exp(1j * np.pi * v / m.v_pi)
+    env.flags.writeable = False
     return Waveform(grid=drive.grid, samples=env, unit="sqrtW")
 
 
@@ -108,10 +110,10 @@ _DEMOD_REL_WIDTH = 0.17  # Gaussian half-width as a fraction of f_s
 
 def demodulate(env: Waveform, f_shift) -> Waveform:
     """Shift a field down in frequency: env(t) exp(-i 2 pi f_shift t)."""
-    t = env.times()
-    return Waveform(grid=env.grid,
-                    samples=env.samples * np.exp(-2j * np.pi * f_shift * t),
-                    unit=env.unit)
+    out = np.exp(-2j * np.pi * f_shift * env.times())
+    np.multiply(env.samples, out, out=out)
+    out.flags.writeable = False
+    return Waveform(grid=env.grid, samples=out, unit=env.unit)
 
 
 def sideband_window(f_s):
@@ -124,3 +126,8 @@ def sideband_window(f_s):
     """
     width = _DEMOD_REL_WIDTH * f_s
     return lambda f: np.exp(-np.log(2.0) * (f / width) ** 2)
+
+
+def window_spans_bin(f_s, grid):
+    """True when :func:`sideband_window` spans a bin: 0.17*f_s >= 1/(n*dt)."""
+    return _DEMOD_REL_WIDTH * f_s >= 1.0 / (grid.n_samples * grid.dt)

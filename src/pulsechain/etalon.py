@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import LeakageWarning, ValidationError
-from .waveform import Waveform, filter_spectrum, to_spectrum
+from .waveform import Waveform, _forward, _inverse
 
 
 @dataclass(frozen=True)
@@ -171,6 +171,9 @@ def with_thermal_jitter(s: EtalonStack, rng):
     return EtalonStack(stages=tuple(stages))
 
 
+_BINS = 1 << 14  # bins per block of filter_pulse's gain: O(block) temporaries
+
+
 def filter_pulse(field: Waveform, s: EtalonStack, pre_gain=None) -> Waveform:
     """Send a (sideband-centered) envelope through the cascade.
 
@@ -182,24 +185,37 @@ def filter_pulse(field: Waveform, s: EtalonStack, pre_gain=None) -> Waveform:
     more than 1% of its energy lies outside that band a LeakageWarning is
     emitted (neighbouring FSR orders would alias through).
     """
-    spec = to_spectrum(field)
-    f = spec.frequencies()
-    h = stack_transmission(f, s)
-    pre = 1.0 if pre_gain is None else pre_gain(f)
-    power = np.abs(pre * spec.amplitudes) ** 2
-    total = power.sum()
-    if total > 0:
+    n = field.grid.n_samples
+    f = np.fft.fftfreq(n, field.grid.dt)
+    amps = _forward(field.samples)
+    power = np.empty(n)
+    half_fsr = s.min_fsr_hz / 2.0
+    peak = (-1.0, 0.0)  # |h| and offset of the peak nearest the sideband
+    for lo in range(0, n, _BINS):
+        fb, ab, pb = (x[lo:lo + _BINS] for x in (f, amps, power))
+        h = stack_transmission(fb, s)
+        pre = 1.0 if pre_gain is None else pre_gain(fb)
+        np.square(np.abs(pre * ab, out=pb), out=pb)
         # the transmission peak nearest the sideband: with FSR below the
         # grid bandwidth, equal peaks repeat across the spectrum
-        near = np.abs(f) <= s.min_fsr_hz / 2.0
-        peak_f = f[near][int(np.argmax(np.abs(h[near])))]
-        inside = np.abs(f - peak_f) <= s.min_fsr_hz / 2.0
+        near = np.abs(fb) <= half_fsr
+        mag = np.abs(h[near])
+        if len(mag) and mag.max() > peak[0]:
+            peak = (mag.max(), fb[near][np.argmax(mag)])
+        gain = pre * h
+        if not np.all(np.isfinite(gain)):
+            raise ValidationError("filter_pulse: the gain is not finite")
+        np.multiply(gain, ab, out=ab)
+    total = power.sum()
+    if total > 0:
+        inside = np.abs(f - peak[1]) <= half_fsr
         outside_frac = float(power[~inside].sum() / total)
         if outside_frac > 0.01:
             warnings.warn(
                 f"{outside_frac:.1%} of pulse energy lies beyond +-FSR/2 of "
                 f"the cascade transmission peak", LeakageWarning, stacklevel=2)
-    return filter_spectrum(spec, pre * h, field.grid, field.unit)
+    del f, power  # before the inverse transform allocates its output
+    return _inverse(amps, field.grid, field.unit)
 
 
 def stage_diagnostics(s: EtalonStack, carrier_offset_hz):

@@ -101,13 +101,20 @@ def run_chain(cfg: ChainConfig, outdir=None) -> RunReport:
 
     Trace taps match the documented measurement points: base voltage,
     shaper output, modulated RF drive, filtered optical sideband envelope,
-    detected power.
+    detected power.  Taps are held only when written; every other trace is
+    dropped after its last reader.
     """
     grid = cfg.grid
     gate = cfg.gate
+    traces = {}  # tap name -> waveform, or None when nothing is written
+
+    def tap(name, w):
+        traces[name] = w if outdir is not None else None
+
     tau_design = _stage("envelope", lambda: tau_from_control_voltage(cfg.circuit))
     v_be, v_out = _stage("envelope",
                          lambda: simulate_circuit(cfg.circuit, gate, grid))
+    tap("v_be.csv", v_be)
 
     peak = float(np.max(np.abs(v_out.samples)))
     on = grid.window_slice(gate.t_on, gate.t_off)
@@ -136,7 +143,7 @@ def run_chain(cfg: ChainConfig, outdir=None) -> RunReport:
         },
     }
 
-    traces = {"v_be.csv": v_be, "v_out.csv": v_out}
+    tap("v_out.csv", v_out)
 
     tones = _stage("rf", lambda: dds_tones(cfg.dds))
     tones_bpf = _stage("rf", lambda: apply_bandpass(tones, cfg.bandpass))
@@ -147,7 +154,7 @@ def run_chain(cfg: ChainConfig, outdir=None) -> RunReport:
             "eom", f"modulator bandwidth {cfg.eom.bandwidth_hz:g} Hz "
             f"must exceed the carrier f_S = {f_s:g} Hz")
     rf = _stage("rf", lambda: mix_envelope(v_out, f_s, cfg.mixer))
-    rf_env = analytic_envelope(rf)
+    del v_be, v_out
     report["rf"] = {
         "f_s_hz": f_s,
         "tones_after_bandpass": [
@@ -155,15 +162,16 @@ def run_chain(cfg: ChainConfig, outdir=None) -> RunReport:
         "spurs_at_output": [
             {"f_hz": f, "dbc": 20.0 * np.log10(a) if a > 0 else None}
             for f, a in tones_rf if a < 1.0],
-        "envelope_fit": _try_fit(rf_env, rf_window, "rising"),
+        "envelope_fit": _try_fit(analytic_envelope(rf), rf_window, "rising"),
     }
-    traces["rf_drive.csv"] = rf
+    tap("rf_drive.csv", rf)
 
     x_peak = cfg.eom.drive_scale * float(np.max(np.abs(rf.samples.real))) / cfg.eom.v_pi
-    field = _stage("eom", lambda: phase_modulate(rf, cfg.eom))
     # the +1 sideband, shifted to baseband; its window is applied
     # together with the cascade in one spectral pass below
-    shifted = _stage("eom", lambda: demodulate(field, f_s))
+    shifted = _stage("eom", lambda: demodulate(phase_modulate(rf, cfg.eom),
+                                               f_s))
+    del rf
     report["eom"] = {
         "x_peak_vrf_over_vpi": x_peak,
         "carrier_j0": bessel_j(0, np.pi * x_peak),
@@ -176,6 +184,7 @@ def run_chain(cfg: ChainConfig, outdir=None) -> RunReport:
         stack = with_thermal_jitter(stack, np.random.default_rng(cfg.seed))
     filtered = _stage("etalon", lambda: filter_pulse(
         shifted, stack, pre_gain=sideband_window(f_s)))
+    del shifted
     diag = stage_diagnostics(stack, carrier_offset_hz=-f_s)
     ring_amp = max(photon_lifetime(e) for e in stack.stages)
     report["etalon"] = {
@@ -183,18 +192,18 @@ def run_chain(cfg: ChainConfig, outdir=None) -> RunReport:
         "rise_fit": _try_fit(filtered, rf_window, "rising"),
         "single_stage_ringdown_s": ring_amp,
     }
-    traces["filtered_envelope.csv"] = filtered
+    tap("filtered_envelope.csv", filtered)
 
     det = _stage("detector", lambda: detect(filtered, cfg.detector))
     # the cascade group delay shifts the cutoff; anchor the decay-fit
     # window at the detected peak and stop it at 1% of the peak, before
     # any residual mixer-leak floor flattens the tail
-    dp = det.samples.real
+    dp = det.samples
     k_peak = int(np.argmax(dp))
     t_peak_det = grid.t_start + grid.dt * k_peak
-    below = np.nonzero(dp[k_peak:] < 0.01 * dp[k_peak])[0]
-    t_floor = grid.t_start + grid.dt * (k_peak + int(below[0])) \
-        if len(below) else grid.t_end - grid.dt
+    below = dp[k_peak:] < 0.01 * dp[k_peak]
+    t_floor = grid.t_start + grid.dt * (k_peak + int(np.argmax(below))) \
+        if below.any() else grid.t_end - grid.dt
     fall_window = (t_peak_det + max(0.5 * ring_amp, 2.0 * grid.dt),
                    min(t_floor, grid.t_end - grid.dt))
     report["detector"] = {
@@ -202,7 +211,8 @@ def run_chain(cfg: ChainConfig, outdir=None) -> RunReport:
         "fall_fit": _try_fit(det, fall_window, "falling"),
         "undershoot_fraction": undershoot_fraction(det),
     }
-    traces["detected_power.csv"] = det
+    tap("detected_power.csv", det)
+    del det, dp
 
     if cfg.run_excitation:
         res = _stage("atom", lambda: excite(filtered, cfg.atom))

@@ -130,6 +130,7 @@ def mix_envelope(envelope: Waveform, f_s, m: MixerParams) -> Waveform:
     lo = np.cos(2.0 * np.pi * f_s * t)
     env = envelope.samples.real
     out = m.conversion_gain * env * lo
-    out = out + 10.0 ** (m.lo_leak_db / 20.0) * lo
-    out = out + 10.0 ** (m.if_leak_db / 20.0) * env
+    out += 10.0 ** (m.lo_leak_db / 20.0) * lo
+    out += 10.0 ** (m.if_leak_db / 20.0) * env
+    out.flags.writeable = False
     return Waveform(grid=envelope.grid, samples=out, unit="V")

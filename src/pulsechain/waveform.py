@@ -73,13 +73,27 @@ class TimeGrid:
         return slice(lo, hi + 1)
 
 
+def _stored(a, what):
+    """``a`` stored read-only, float64 if real and complex128 if complex: an
+    array already read-only, owning its memory and of that dtype is kept,
+    any other is copied.  Non-finite values are refused."""
+    a = np.asarray(a)
+    dtype = np.complex128 if np.iscomplexobj(a) else np.float64
+    if a.flags.writeable or a.base is not None or a.dtype != dtype:
+        a = np.array(a, dtype=dtype)
+        a.flags.writeable = False
+    if not np.all(np.isfinite(a)):
+        raise ValidationError(f"{what} must all be finite")
+    return a
+
+
 @dataclass(frozen=True)
 class Waveform:
-    """Sampled complex signal on a TimeGrid.
+    """Sampled real (float64) or complex (complex128) signal on a TimeGrid.
 
     ``unit`` declares what the samples carry ("V" for electrical signals,
     "sqrtW" for optical envelopes).  Instances are immutable; the sample
-    array is marked read-only.
+    array is read-only (see :func:`_stored`).
     """
 
     grid: TimeGrid
@@ -87,14 +101,11 @@ class Waveform:
     unit: str = ""
 
     def __post_init__(self):
-        s = np.array(self.samples, dtype=np.complex128, copy=True)
+        s = _stored(self.samples, "waveform samples")
         if s.ndim != 1 or len(s) != self.grid.n_samples:
             raise ValidationError(
                 f"samples length {s.shape} does not match grid "
                 f"({self.grid.n_samples} points)")
-        if not np.all(np.isfinite(s)):
-            raise ValidationError("waveform samples must all be finite")
-        s.flags.writeable = False
         object.__setattr__(self, "samples", s)
 
     def times(self):
@@ -105,6 +116,8 @@ class Waveform:
         return float(np.sum(np.abs(self.samples) ** 2))
 
     def is_real(self, tol=1e-12):
+        if not np.iscomplexobj(self.samples):
+            return True
         scale = np.max(np.abs(self.samples)) or 1.0
         return float(np.max(np.abs(self.samples.imag))) <= tol * scale
 
@@ -118,14 +131,11 @@ class Spectrum:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.amplitudes, dtype=np.complex128, copy=True)
+        a = _stored(self.amplitudes, "spectrum amplitudes")
         if not (self.df > 0):
             raise ValidationError("Spectrum.df must be > 0")
         if a.ndim != 1 or len(a) < 2:
             raise ValidationError("Spectrum needs at least 2 bins")
-        if not np.all(np.isfinite(a)):
-            raise ValidationError("spectrum amplitudes must all be finite")
-        a.flags.writeable = False
         object.__setattr__(self, "amplitudes", a)
 
     @property
@@ -148,10 +158,24 @@ def to_spectrum(w: Waveform) -> Spectrum:
     """
     if not np.all(np.isfinite(w.samples)):
         raise ValidationError("cannot transform non-finite samples")
-    n = w.grid.n_samples
-    amps = np.fft.fft(w.samples)
-    amps /= np.sqrt(n)
-    return Spectrum(df=1.0 / (n * w.grid.dt), amplitudes=amps)
+    amps = _forward(w.samples)
+    amps.flags.writeable = False
+    return Spectrum(df=1.0 / (len(amps) * w.grid.dt), amplitudes=amps)
+
+
+def _forward(x):
+    """The normalized forward DFT of ``x``, as a new writeable array."""
+    amps = np.fft.fft(x)
+    amps /= np.sqrt(len(x))
+    return amps
+
+
+def _inverse(amps, grid: TimeGrid, unit="") -> Waveform:
+    """The waveform on ``grid`` whose :func:`_forward` DFT is ``amps``."""
+    out = np.fft.ifft(amps)
+    out *= np.sqrt(len(amps))
+    out.flags.writeable = False
+    return Waveform(grid=grid, samples=out, unit=unit)
 
 
 def from_spectrum(s: Spectrum, t_start=0.0) -> Waveform:
@@ -162,23 +186,20 @@ def from_spectrum(s: Spectrum, t_start=0.0) -> Waveform:
     """
     n = s.n_bins
     grid = TimeGrid(t_start=t_start, dt=1.0 / (n * s.df), n_samples=n)
-    return filter_spectrum(s, 1.0, grid)
+    return _inverse(s.amplitudes, grid)
 
 
 def filter_spectrum(s: Spectrum, gain, grid: TimeGrid, unit="") -> Waveform:
     """Waveform on ``grid`` whose spectrum is ``gain * s``.
 
     ``gain`` holds one finite value per bin of ``s`` (a scalar is allowed);
-    this is the single inverse transform behind :func:`from_spectrum` and
-    :func:`apply_transfer`.
+    :func:`apply_transfer` filters through it.
     """
     h = np.asarray(gain)
     if not np.all(np.isfinite(h)):
         raise ValidationError("transfer function returned non-finite values")
-    amps = np.broadcast_to(h, s.amplitudes.shape) * s.amplitudes
-    out = np.fft.ifft(amps)
-    out *= np.sqrt(s.n_bins)
-    return Waveform(grid=grid, samples=out, unit=unit)
+    return _inverse(np.broadcast_to(h, s.amplitudes.shape) * s.amplitudes,
+                    grid, unit)
 
 
 def apply_transfer(w: Waveform, transfer) -> Waveform:
@@ -211,6 +232,7 @@ def analytic_envelope(w: Waveform) -> Waveform:
     spec = np.fft.rfft(x)
     spec *= -1j
     env = np.hypot(x, np.fft.irfft(spec, len(x)))
+    env.flags.writeable = False
     return Waveform(grid=w.grid, samples=env, unit=w.unit)
 
 
@@ -412,7 +434,7 @@ def write_traces(items):
                     open(tmp, "w", encoding="utf-8", newline="\n"))
                 tmps.append(tmp)
                 s = w.samples
-                if np.any(s.imag != 0.0):
+                if np.iscomplexobj(s) and np.any(s.imag != 0.0):
                     fh.write("time_s,real,imag\n")
                     columns.append((fh, w.grid, (s.real, s.imag)))
                 else:
@@ -511,5 +533,5 @@ def read_trace(path, unit="") -> Waveform:
         raise ValidationError(f"{path}: sample times are not uniformly spaced")
     grid = TimeGrid(t_start=float(t[0]), dt=float(dt), n_samples=n)
     samples = (table[:, 1] if ncol == 2
-               else np.ascontiguousarray(table[:, 1:]).view(np.complex128)[:, 0])
+               else table[:, 1:].view(np.complex128)[:, 0])
     return Waveform(grid=grid, samples=samples, unit=unit)

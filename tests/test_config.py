@@ -123,6 +123,32 @@ class TestValidation:
         parse_config("[grid]\ndt_ns = 0.16666666666666666\n")
         parse_config("[circuit]\ngate_len_ns = 1.5\n")
 
+    def test_count_keys_capped(self):
+        # the uncapped values build 1e9 stages or tones at parse time
+        for section, key in (("etalon", "n_stages"), ("dds", "n_images")):
+            for value in ("1001", "1e9"):
+                with pytest.raises(ValidationError,
+                                   match=rf"\[{section}\] {key} = \d+ "
+                                         r"exceeds 1000"):
+                    parse_config(f"[{section}]\n{key} = {value}\n")
+            parse_config(f"[{section}]\n{key} = 1000\n")
+
+    def test_sideband_window_narrower_than_a_bin(self):
+        # f_S = 4 kHz used to run with a 680 Hz window on 1 MHz bins, and
+        # 8.19e-199 MHz overflowed in eom.sideband_window
+        for value, shown in (("1e-3", "0.001"), ("8.19e-199", "8.19e-199")):
+            with pytest.raises(ValidationError,
+                               match=rf"\[dds\]: f_tune_mhz = {shown} .*"
+                                     r"\[bandpass\] .*one frequency bin of "
+                                     r"\[grid\] n_samples = 10000"):
+                parse_config(f"[dds]\nf_tune_mhz = {value}\n")
+        # the limit 0.17 f_S >= 1/(n dt): 255 MHz against a 4 ns grid's
+        # 250 MHz bins passes, against a 3.9 ns grid's 256 MHz it does not
+        short = "[circuit]\ngate_len_ns = 1.5\n[grid]\nt_start_ns = 50\n"
+        parse_config(short + "n_samples = 40\n")
+        with pytest.raises(ValidationError, match=r"n_samples = 39, dt_ns"):
+            parse_config(short + "n_samples = 39\n")
+
     def test_short_lifetime_accepted_on_finer_grid(self):
         cfg = parse_config("[grid]\ndt_ns = 0.05\nn_samples = 20000\n"
                            "[atom]\nexcited_lifetime_ns = 0.03\n")

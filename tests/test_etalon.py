@@ -11,6 +11,9 @@ from pulsechain import (EtalonParams, EtalonStack, LeakageWarning, TimeGrid,
                         stack_extinction_db, stack_transmission,
                         stage_diagnostics, temperature_to_frequency,
                         with_thermal_jitter)
+from pulsechain.eom import sideband_window
+from pulsechain.etalon import _BINS
+from pulsechain.waveform import filter_spectrum, to_spectrum
 
 GRID = TimeGrid(0.0, 0.1e-9, 10000)
 
@@ -315,3 +318,75 @@ class TestStackOracle:
         assert np.all(np.isfinite(got))
         assert got[0] == 1.0
         assert np.all(got[1:] == 0.0)  # off resonance the product underflows
+
+
+def filter_pulse_reference(field, s, pre_gain=None):
+    """The one-pass filter_pulse: the whole gain at once, then the leak
+    check over the whole spectrum.  Returns the waveform and the warning
+    text (None when nothing is emitted)."""
+    spec = to_spectrum(field)
+    f = spec.frequencies()
+    h = stack_transmission(f, s)
+    pre = 1.0 if pre_gain is None else pre_gain(f)
+    power = np.abs(pre * spec.amplitudes) ** 2
+    note = None
+    if power.sum() > 0:
+        near = np.abs(f) <= s.min_fsr_hz / 2.0
+        peak_f = f[near][int(np.argmax(np.abs(h[near])))]
+        inside = np.abs(f - peak_f) <= s.min_fsr_hz / 2.0
+        frac = float(power[~inside].sum() / power.sum())
+        if frac > 0.01:
+            note = (f"{frac:.1%} of pulse energy lies beyond +-FSR/2 of the "
+                    f"cascade transmission peak")
+    return filter_spectrum(spec, pre * h, field.grid, field.unit), note
+
+
+class TestBlockedGainOracle:
+    """filter_pulse builds its gain in blocks of _BINS bins; it must agree
+    with the whole-spectrum pass across block boundaries."""
+
+    @pytest.mark.parametrize("n", [1000, _BINS - 1, _BINS, _BINS + 1,
+                                   3 * _BINS + 7])
+    @pytest.mark.parametrize("stack, pre", [
+        (EtalonStack.identical(3), sideband_window(1.5e9)),
+        (EtalonStack.identical(3), None),
+        # a 4 GHz FSR below the 10 GHz grid bandwidth leaks; detuned by
+        # 1.3 GHz, its peak sits at a negative offset, in the last blocks
+        (EtalonStack(stages=(EtalonParams(fsr_hz=4e9, detuning_hz=1.3e9),
+                             EtalonParams(fsr_hz=6e9))), None),
+        (with_thermal_jitter(EtalonStack.identical(
+            2, EtalonParams(fsr_hz=3e9)), np.random.default_rng(4)),
+         sideband_window(1e9)),
+    ])
+    def test_matches_whole_spectrum_pass(self, n, stack, pre):
+        grid = TimeGrid(0.0, 0.1e-9, n)
+        rng = np.random.default_rng(n)
+        t = grid.times()
+        x = np.where(t < 0.6 * t[-1], np.exp((t - 0.6 * t[-1]) / 17e-9), 0.0) \
+            + 0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        w = Waveform(grid=grid, samples=x, unit="sqrtW")
+        ref, note = filter_pulse_reference(w, stack, pre)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = filter_pulse(w, stack, pre_gain=pre)
+        notes = [str(c.message) for c in caught
+                 if issubclass(c.category, LeakageWarning)]
+        assert notes == ([note] if note else [])
+        peak = np.max(np.abs(ref.samples))
+        assert np.max(np.abs(got.samples - ref.samples)) <= 1e-14 * peak
+        assert got.unit == "sqrtW" and got.grid == grid
+
+    def test_leak_case_warns(self):
+        # the detuned 4 GHz case above is a leak case, so the text is pinned
+        grid = TimeGrid(0.0, 0.1e-9, 3 * _BINS + 7)
+        w = Waveform(grid=grid, samples=np.random.default_rng(1)
+                     .standard_normal(grid.n_samples))
+        stack = EtalonStack(stages=(EtalonParams(fsr_hz=4e9,
+                                                 detuning_hz=1.3e9),))
+        assert filter_pulse_reference(w, stack)[1] is not None
+
+    def test_non_finite_gain_rejected(self):
+        w = rect_pulse(100e-9, 300e-9)
+        with pytest.raises(ValidationError, match="not finite"):
+            filter_pulse(w, EtalonStack.identical(3),
+                         pre_gain=lambda f: np.where(f < -4e9, np.nan, 1.0))

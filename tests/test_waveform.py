@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from pulsechain import (FitError, TimeGrid, ValidationError, Waveform,
-                        analytic_envelope, apply_transfer, fit_exponential,
-                        from_spectrum, one_pole_lowpass, read_trace,
-                        to_spectrum, write_trace)
+from pulsechain import (FitError, Spectrum, TimeGrid, ValidationError,
+                        Waveform, analytic_envelope, apply_transfer,
+                        fit_exponential, from_spectrum, one_pole_lowpass,
+                        read_trace, to_spectrum, write_trace)
 from pulsechain.waveform import _TRACE_CHUNK, write_traces
 
 
@@ -39,6 +39,73 @@ class TestGridAndContainers:
         w = wave(np.ones(8))
         with pytest.raises(ValueError):
             w.samples[0] = 2.0
+        with pytest.raises(ValueError):
+            wave(np.ones(8) + 1j).samples[0] = 2.0
+
+
+def frozen(a):
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
+# the array each container keeps for a given input
+STORES = [lambda s: Waveform(TimeGrid(0.0, 1e-9, len(s)), s).samples,
+          lambda s: Spectrum(1e6, s).amplitudes]
+
+
+class TestOwnership:
+    """A container keeps, without copying, only an array that is read-only,
+    owns its memory and has the storage dtype; anything else is copied."""
+
+    @pytest.mark.parametrize("make", STORES, ids=["waveform", "spectrum"])
+    def test_writeable_array_is_copied(self, make):
+        for x in (np.arange(8.0), np.arange(8.0) + 1j):
+            kept = make(x)
+            before = kept.copy()
+            x[:] = 7.0
+            assert kept is not x and np.array_equal(kept, before)
+            assert not kept.flags.writeable
+
+    @pytest.mark.parametrize("make", STORES, ids=["waveform", "spectrum"])
+    def test_storage_dtype_follows_the_signal(self, make):
+        for x, dtype in ((np.arange(8), np.float64), ([1.0] * 8, np.float64),
+                         (np.ones(8, np.float32), np.float64),
+                         (np.ones(8) + 0j, np.complex128),
+                         (np.ones(8, np.complex64), np.complex128)):
+            assert make(x).dtype == dtype
+
+    @pytest.mark.parametrize("make", STORES, ids=["waveform", "spectrum"])
+    def test_adopts_readonly_owned_array(self, make):
+        for x in (frozen(np.arange(8.0)), frozen(np.arange(8.0) - 1j)):
+            assert make(x) is x
+        view = frozen(np.arange(16.0))[::2]          # does not own its memory
+        assert make(view) is not view
+        base = np.arange(8.0)                        # a writeable base
+        alias = base[:]
+        alias.flags.writeable = False
+        kept = make(alias)
+        base[0] = 5.0
+        assert kept is not alias and kept[0] == 0.0
+        wrong = frozen(np.arange(8, dtype=np.float32))
+        assert make(wrong) is not wrong
+
+    def test_adopt_path_keeps_checks(self):
+        g = TimeGrid(0.0, 1e-9, 8)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="finite"):
+                Waveform(g, frozen([1.0] * 7 + [bad]))
+            with pytest.raises(ValidationError, match="finite"):
+                Spectrum(1e6, frozen([1.0 + 0j] * 7 + [bad]))
+        with pytest.raises(ValidationError, match="does not match grid"):
+            Waveform(g, frozen(np.ones(7)))
+        with pytest.raises(ValidationError, match="at least 2 bins"):
+            Spectrum(1e6, frozen(np.ones(1)))
+
+    def test_is_real(self):
+        assert wave(np.arange(4.0)).is_real()
+        assert wave(np.arange(4.0) + 0j).is_real()
+        assert not wave(np.arange(4.0) + 1j).is_real()
 
 
 class TestTransforms:
@@ -302,6 +369,25 @@ class TestTraceIO:
         assert text.splitlines()[0] == "time_s,value"
         back = read_trace(path)
         assert np.array_equal(back.samples.real, w.samples.real)
+        assert back.samples.dtype == np.float64
+
+    def test_imag_column_exactly_when_some_sample_has_one(self, tmp_path):
+        x = np.linspace(0, 1, 32)
+        one_imag = x + 0j
+        one_imag[5] = 0.5 + 1e-300j
+        negative_zero = x + 0j
+        negative_zero.imag = -0.0
+        cases = [(x, "time_s,value", np.float64),
+                 (x + 0j, "time_s,value", np.float64),
+                 (negative_zero, "time_s,value", np.float64),
+                 (one_imag, "time_s,real,imag", np.complex128)]
+        for samples, header, dtype in cases:
+            path = tmp_path / "trace.csv"
+            write_trace(path, wave(samples))
+            assert path.read_text().splitlines()[0] == header
+            back = read_trace(path)
+            assert back.samples.dtype == dtype
+            assert np.array_equal(back.samples, samples)
 
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -96,9 +96,10 @@ def stack_transmission(f_offset, s: EtalonStack):
     """
     f = np.asarray(f_offset, dtype=float)
     phasors = {}  # FSR -> (e^{-i pi f/FSR}, its square)
-    t = 1.0
+    t = None
     for lo in range(0, len(s.stages), _BLOCK):
-        gain = num = den = 1.0
+        gain = 1.0
+        num, den = np.ones(f.shape, complex), np.ones(f.shape, complex)
         for e in s.stages[lo:lo + _BLOCK]:
             if e.fsr_hz not in phasors:
                 half = np.exp(-1j * np.pi / e.fsr_hz * f)
@@ -106,9 +107,16 @@ def stack_transmission(f_offset, s: EtalonStack):
             half, full = phasors[e.fsr_hz]
             c = np.exp(-1j * np.pi * e.detuning_hz / e.fsr_hz)
             gain *= (1.0 - e.reflectivity) * c
-            num = num * half
-            den = den * (1.0 - e.reflectivity * (1.0 - e.loss) * c * c * full)
-        t = t * (gain * num / den)
+            # in place, operands in a fixed order: an expression like
+            # den * (...) lets numpy reuse the right-hand temporary for
+            # arrays of 256 KiB and more, commuting the complex product and
+            # so its last bit, which would then depend on the array length
+            np.multiply(num, half, out=num)
+            rho = e.reflectivity * (1.0 - e.loss)
+            np.multiply(den, 1.0 - rho * c * c * full, out=den)
+        np.multiply(gain, num, out=num)
+        np.divide(num, den, out=num)
+        t = num if t is None else np.multiply(t, num, out=t)
     return complex(t) if np.isscalar(f_offset) else t
 
 
@@ -185,14 +193,27 @@ def filter_pulse(field: Waveform, s: EtalonStack, pre_gain=None) -> Waveform:
     more than 1% of its energy lies outside that band a LeakageWarning is
     emitted (neighbouring FSR orders would alias through).
     """
-    n = field.grid.n_samples
-    f = np.fft.fftfreq(n, field.grid.dt)
     amps = _forward(field.samples)
+    return _filter_spectrum(amps, field.grid, field.unit, s, pre_gain, out=amps)
+
+
+def _filter_spectrum(amps, grid, unit, s: EtalonStack, pre_gain=None, out=None):
+    """:func:`filter_pulse` on ``amps``, the normalized DFT
+    (:func:`~pulsechain.waveform._forward`) of a field on ``grid``.
+
+    The filtered spectrum is written to ``out``, a new array by default, so
+    ``amps`` is only read unless it is ``out`` itself: a shared, read-only
+    spectrum can be filtered again with another stack.
+    """
+    n = grid.n_samples
+    f = np.fft.fftfreq(n, grid.dt)
+    if out is None:
+        out = np.empty_like(amps)
     power = np.empty(n)
     half_fsr = s.min_fsr_hz / 2.0
     peak = (-1.0, 0.0)  # |h| and offset of the peak nearest the sideband
     for lo in range(0, n, _BINS):
-        fb, ab, pb = (x[lo:lo + _BINS] for x in (f, amps, power))
+        fb, ab, ob, pb = (x[lo:lo + _BINS] for x in (f, amps, out, power))
         h = stack_transmission(fb, s)
         pre = 1.0 if pre_gain is None else pre_gain(fb)
         np.square(np.abs(pre * ab, out=pb), out=pb)
@@ -205,7 +226,7 @@ def filter_pulse(field: Waveform, s: EtalonStack, pre_gain=None) -> Waveform:
         gain = pre * h
         if not np.all(np.isfinite(gain)):
             raise ValidationError("filter_pulse: the gain is not finite")
-        np.multiply(gain, ab, out=ab)
+        np.multiply(gain, ab, out=ob)
     total = power.sum()
     if total > 0:
         inside = np.abs(f - peak[1]) <= half_fsr
@@ -213,9 +234,9 @@ def filter_pulse(field: Waveform, s: EtalonStack, pre_gain=None) -> Waveform:
         if outside_frac > 0.01:
             warnings.warn(
                 f"{outside_frac:.1%} of pulse energy lies beyond +-FSR/2 of "
-                f"the cascade transmission peak", LeakageWarning, stacklevel=2)
+                f"the cascade transmission peak", LeakageWarning, stacklevel=3)
     del f, power  # before the inverse transform allocates its output
-    return _inverse(amps, field.grid, field.unit)
+    return _inverse(out, grid, unit)
 
 
 def stage_diagnostics(s: EtalonStack, carrier_offset_hz):

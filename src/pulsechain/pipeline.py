@@ -6,9 +6,11 @@ byte-identical across repeated runs, and every output file is written
 atomically.
 """
 
+import functools
 import json
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,9 +22,11 @@ from .envelope import (MIN_GATE_SAMPLES, simulate_circuit,
                        tau_from_control_voltage)
 from .eom import bessel_j, demodulate, distortion_fraction, phase_modulate, sideband_window
 from .errors import FitError, ValidationError
-from .etalon import filter_pulse, photon_lifetime, stage_diagnostics, with_thermal_jitter
+from .etalon import (_filter_spectrum, photon_lifetime, stage_diagnostics,
+                     with_thermal_jitter)
 from .rfchain import apply_bandpass, dds_tones, dominant_tone, frequency_quadruple, mix_envelope
-from .waveform import analytic_envelope, fit_exponential, read_trace, write_traces
+from .waveform import (_forward, analytic_envelope, fit_exponential, read_trace,
+                       write_traces)
 
 
 def _py(obj):
@@ -96,24 +100,35 @@ def _try_fit(w, window, direction):
         return {"tau_s": None, "error": str(exc)}
 
 
-def run_chain(cfg: ChainConfig, outdir=None) -> RunReport:
-    """Execute the chain on a validated config; optionally emit trace files.
+class _FrontEnd(NamedTuple):
+    envelope: dict        # the envelope, rf and eom report blocks
+    rf: dict
+    eom: dict
+    f_s: float
+    rf_window: tuple      # the rising-edge fit window, clear of its edges
+    sideband: np.ndarray  # read-only _forward DFT of the +1 sideband
+    taps: tuple           # (file name, waveform or None) per electrical tap
 
-    Trace taps match the documented measurement points: base voltage,
-    shaper output, modulated RF drive, filtered optical sideband envelope,
-    detected power.  Taps are held only when written; every other trace is
-    dropped after its last reader.
+
+@functools.lru_cache(maxsize=1)
+def _front_end(circuit, gate, grid, dds, bandpass, mixer, eom, keep_taps):
+    """Shaper -> RF chain -> EOM -> spectrum of the +1 sideband at baseband.
+
+    No ``[etalon]``, ``[detector]``, ``[atom]`` or ``[run]`` key reaches
+    this part of the run, and its arguments are the frozen config blocks it
+    reads, so it is memoised on them: a sweep over a downstream key or a
+    loop over seeds computes it once.  The result is shared between runs:
+    its arrays are read-only, and :func:`run_chain` copies its report
+    blocks.  Electrical taps are kept only when ``keep_taps``.
     """
-    grid = cfg.grid
-    gate = cfg.gate
-    traces = {}  # tap name -> waveform, or None when nothing is written
+    taps = []
 
     def tap(name, w):
-        traces[name] = w if outdir is not None else None
+        taps.append((name, w if keep_taps else None))
 
-    tau_design = _stage("envelope", lambda: tau_from_control_voltage(cfg.circuit))
+    tau_design = _stage("envelope", lambda: tau_from_control_voltage(circuit))
     v_be, v_out = _stage("envelope",
-                         lambda: simulate_circuit(cfg.circuit, gate, grid))
+                         lambda: simulate_circuit(circuit, gate, grid))
     tap("v_be.csv", v_be)
 
     peak = float(np.max(np.abs(v_out.samples)))
@@ -129,33 +144,26 @@ def run_chain(cfg: ChainConfig, outdir=None) -> RunReport:
                            gate.duration - 5.0 * tau_design)
     w_hi = gate.t_off - 2.0 * grid.dt
     rf_window = (w_lo + 2e-9, w_hi - 2e-9)  # clear of analytic-signal edges
-
-    report = {
-        "provenance": {"config_sha256": config_sha256(cfg), "seed": cfg.seed,
-                       "version": __version__},
-        "grid": {"dt_s": grid.dt, "n_samples": grid.n_samples,
-                 "t_start_s": grid.t_start},
-        "envelope": {
-            "tau_design_s": tau_design,
-            "gate_on_s": gate.t_on, "gate_len_s": gate.duration,
-            "v_out_peak_v": peak,
-            "fit": _try_fit(v_out, (w_lo, w_hi), "rising"),
-        },
+    envelope = {
+        "tau_design_s": tau_design,
+        "gate_on_s": gate.t_on, "gate_len_s": gate.duration,
+        "v_out_peak_v": peak,
+        "fit": _try_fit(v_out, (w_lo, w_hi), "rising"),
     }
-
     tap("v_out.csv", v_out)
 
-    tones = _stage("rf", lambda: dds_tones(cfg.dds))
-    tones_bpf = _stage("rf", lambda: apply_bandpass(tones, cfg.bandpass))
+    tones = _stage("rf", lambda: dds_tones(dds))
+    tones_bpf = _stage("rf", lambda: apply_bandpass(tones, bandpass))
     tones_rf = _stage("rf", lambda: frequency_quadruple(tones_bpf))
     f_s = dominant_tone(tones_rf)[0]
-    if cfg.eom.bandwidth_hz <= f_s:
+    if eom.bandwidth_hz <= f_s:
         raise _stage_error(
-            "eom", f"modulator bandwidth {cfg.eom.bandwidth_hz:g} Hz "
+            "eom", f"modulator bandwidth {eom.bandwidth_hz:g} Hz "
             f"must exceed the carrier f_S = {f_s:g} Hz")
-    rf = _stage("rf", lambda: mix_envelope(v_out, f_s, cfg.mixer))
+    rf = _stage("rf", lambda: mix_envelope(v_out, f_s, mixer))
     del v_be, v_out
-    report["rf"] = {
+    tap("rf_drive.csv", rf)
+    rf_block = {
         "f_s_hz": f_s,
         "tones_after_bandpass": [
             {"f_hz": f, "amplitude": a} for f, a in tones_bpf],
@@ -164,27 +172,60 @@ def run_chain(cfg: ChainConfig, outdir=None) -> RunReport:
             for f, a in tones_rf if a < 1.0],
         "envelope_fit": _try_fit(analytic_envelope(rf), rf_window, "rising"),
     }
-    tap("rf_drive.csv", rf)
 
-    x_peak = cfg.eom.drive_scale * float(np.max(np.abs(rf.samples.real))) / cfg.eom.v_pi
+    x_peak = eom.drive_scale * float(np.max(np.abs(rf.samples.real))) / eom.v_pi
     # the +1 sideband, shifted to baseband; its window is applied
-    # together with the cascade in one spectral pass below
-    shifted = _stage("eom", lambda: demodulate(phase_modulate(rf, cfg.eom),
-                                               f_s))
+    # together with the cascade in one spectral pass of the etalon stage
+    shifted = _stage("eom", lambda: demodulate(phase_modulate(rf, eom), f_s))
     del rf
-    report["eom"] = {
+    sideband = _forward(shifted.samples)
+    del shifted
+    sideband.flags.writeable = False
+    eom_block = {
         "x_peak_vrf_over_vpi": x_peak,
         "carrier_j0": bessel_j(0, np.pi * x_peak),
         "sideband_j1": bessel_j(1, np.pi * x_peak),
         "distortion_fraction": distortion_fraction(x_peak),
     }
+    return _FrontEnd(envelope, rf_block, eom_block, f_s, rf_window, sideband,
+                     tuple(taps))
+
+
+def run_chain(cfg: ChainConfig, outdir=None) -> RunReport:
+    """Execute the chain on a validated config; optionally emit trace files.
+
+    Trace taps match the documented measurement points: base voltage,
+    shaper output, modulated RF drive, filtered optical sideband envelope,
+    detected power.  Taps are held only when written; every other trace is
+    dropped after its last reader.  The part of the run up to the sideband
+    spectrum is shared with the previous run when their designs agree (see
+    :func:`_front_end`).
+    """
+    grid = cfg.grid
+    fe = _front_end(cfg.circuit, cfg.gate, grid, cfg.dds, cfg.bandpass,
+                    cfg.mixer, cfg.eom, outdir is not None)
+    traces = dict(fe.taps)  # tap name -> waveform, or None when not written
+
+    def tap(name, w):
+        traces[name] = w if outdir is not None else None
+
+    report = {
+        "provenance": {"config_sha256": config_sha256(cfg), "seed": cfg.seed,
+                       "version": __version__},
+        "grid": {"dt_s": grid.dt, "n_samples": grid.n_samples,
+                 "t_start_s": grid.t_start},
+        # -0.0 and 0.0 are one key of the memo: echo this run's gate start
+        "envelope": {**fe.envelope, "gate_on_s": cfg.gate.t_on},
+        "rf": fe.rf,
+        "eom": fe.eom,
+    }
+    f_s, rf_window = fe.f_s, fe.rf_window
 
     stack = cfg.etalon
     if cfg.apply_temp_jitter:
         stack = with_thermal_jitter(stack, np.random.default_rng(cfg.seed))
-    filtered = _stage("etalon", lambda: filter_pulse(
-        shifted, stack, pre_gain=sideband_window(f_s)))
-    del shifted
+    filtered = _stage("etalon", lambda: _filter_spectrum(
+        fe.sideband, grid, "sqrtW", stack, pre_gain=sideband_window(f_s)))
     diag = stage_diagnostics(stack, carrier_offset_hz=-f_s)
     ring_amp = max(photon_lifetime(e) for e in stack.stages)
     report["etalon"] = {

@@ -392,9 +392,9 @@ def fit_exponential(w: Waveform, window, direction) -> FitResult:
 # trace file format: plain CSV, header time_s,real,imag or time_s,value
 # ---------------------------------------------------------------------------
 
-# Rows formatted or parsed per step: large enough that the per-chunk numpy
-# calls are cheap next to the per-value repr/float, small enough that the
-# chunk's strings stay a few MB whatever the trace length.
+# Rows formatted per step: large enough that the per-chunk numpy calls are
+# cheap next to the per-value repr, small enough that the chunk's strings
+# stay a few MB whatever the trace length.
 _TRACE_CHUNK = 8192
 
 
@@ -479,52 +479,92 @@ def _raise_bad_line(path, lines, linenos, ncol):
             raise ValidationError(f"{path}: line {lineno}: {exc}") from None
 
 
-def read_trace(path, unit="") -> Waveform:
-    """Read a CSV trace written by :func:`write_trace` (or equivalent).
+# Characters read per block of read_trace: the text, its lines and their
+# values are held one block at a time, a few MB whatever the trace length.
+_READ_CHARS = 1 << 17
 
-    Blank lines and whitespace around values are ignored; values parse as
-    Python's float() parses them.  A malformed line is reported by number.
+
+def _line_blocks(fh):
+    """The lines of the text file ``fh`` as ``str.splitlines`` splits its
+    whole text, in lists of about ``_READ_CHARS`` characters.
+
+    A block is cut after its last newline; universal-newline reading has
+    turned every "\r" into one, so no line break spans two blocks.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    first = next((i for i, line in enumerate(lines) if line.strip()), None)
-    if first is None:
-        raise ValidationError(f"{path}: empty trace file")
-    header = lines[first].strip().replace(" ", "").lower()
-    if header == "time_s,real,imag":
-        ncol = 3
-    elif header == "time_s,value":
-        ncol = 2
-    else:
-        raise ValidationError(
-            f"{path}: line {first + 1}: unrecognized header "
-            f"{lines[first].strip()!r}")
-    body = lines[first + 1:]
+    rest = ""
+    while True:
+        text = fh.read(_READ_CHARS)
+        if not text:
+            if rest:
+                yield rest.splitlines()
+            return
+        text = rest + text
+        cut = text.rfind("\n") + 1
+        rest = text[cut:]
+        yield text[:cut].splitlines()
+
+
+def _parse_rows(path, body, lineno, ncol):
+    """The rows of ``body``, whose first line is line ``lineno`` of the
+    file, as an (n, ncol) float array; blank lines are skipped."""
     commas = np.fromiter(map(str.count, body, itertools.repeat(",")),
                          dtype=np.intp, count=len(body))
     # a line with no comma is blank, or a row with too few columns
     keep = commas != 0
     for i in np.flatnonzero(~keep).tolist():
         keep[i] = bool(body[i].strip())
-    linenos = np.flatnonzero(keep) + first + 2
+    linenos = np.flatnonzero(keep) + lineno
     if not keep.all():
         body = list(itertools.compress(body, keep.tolist()))
         commas = commas[keep]
-    n = len(body)
-    table = np.empty((n, ncol))
-    flat = table.reshape(-1)
-    for lo in range(0, n, _TRACE_CHUNK):
-        hi = min(lo + _TRACE_CHUNK, n)
-        chunk = body[lo:hi]
-        try:
-            if np.any(commas[lo:hi] != ncol - 1):
-                raise ValueError("wrong column count")
-            flat[lo * ncol:hi * ncol] = np.fromiter(
-                map(float, ",".join(chunk).split(",")), dtype=np.float64,
-                count=(hi - lo) * ncol)
-        except ValueError:
-            _raise_bad_line(path, chunk, linenos[lo:hi].tolist(), ncol)
-            raise
+    try:
+        if np.any(commas != ncol - 1):
+            raise ValueError("wrong column count")
+        return np.fromiter(map(float, ",".join(body).split(",")),
+                           dtype=np.float64,
+                           count=len(body) * ncol).reshape(-1, ncol)
+    except ValueError:
+        _raise_bad_line(path, body, linenos.tolist(), ncol)
+        raise
+
+
+def read_trace(path, unit="") -> Waveform:
+    """Read a CSV trace written by :func:`write_trace` (or equivalent).
+
+    Blank lines and whitespace around values are ignored; values parse as
+    Python's float() parses them.  A malformed line is reported by number.
+    The file is parsed as it is read, so only the table is held whole.
+    """
+    ncol = None
+    rows = []
+    lineno = 1  # of the first line of the current block
+    with open(path, "r", encoding="utf-8") as fh:
+        for lines in _line_blocks(fh):
+            body = lines
+            if ncol is None:
+                first = next((i for i, line in enumerate(lines)
+                              if line.strip()), None)
+                if first is None:
+                    lineno += len(lines)
+                    continue
+                header = lines[first].strip().replace(" ", "").lower()
+                if header == "time_s,real,imag":
+                    ncol = 3
+                elif header == "time_s,value":
+                    ncol = 2
+                else:
+                    raise ValidationError(
+                        f"{path}: line {lineno + first}: unrecognized header "
+                        f"{lines[first].strip()!r}")
+                body = lines[first + 1:]
+            rows.append(_parse_rows(path, body, lineno + len(lines) - len(body),
+                                    ncol))
+            lineno += len(lines)
+    if ncol is None:
+        raise ValidationError(f"{path}: empty trace file")
+    table = np.concatenate(rows)
+    del rows
+    n = len(table)
     if n < 2:
         raise ValidationError(f"{path}: trace needs at least 2 samples")
     t = table[:, 0]

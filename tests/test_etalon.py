@@ -299,6 +299,20 @@ class TestStackOracle:
             assert abs(got - complex(stack_transmission_reference(f, s))) \
                 <= 1e-13
 
+    @pytest.mark.parametrize("n", [1000, _BINS - 1, _BINS, _BINS + 1])
+    @pytest.mark.parametrize("name", sorted(STACKS) + ["forty_stages"])
+    def test_slices_are_bit_equal(self, n, name):
+        # a bin's gain must not depend on the length of the array it is
+        # computed in (filter_pulse builds it in blocks of _BINS)
+        s = STACKS.get(name) or with_thermal_jitter(
+            EtalonStack.identical(40), np.random.default_rng(5))
+        f = np.fft.fftfreq(3 * _BINS + 7, GRID.dt)
+        whole = stack_transmission(f, s)
+        for lo in range(0, len(f), n):
+            part = stack_transmission(f[lo:lo + n], s)
+            assert np.array_equal(part.view(np.int64),
+                                  whole[lo:lo + n].view(np.int64)), lo
+
     def test_400_stages_finite(self):
         # 25 blocks of 16; a single division over all 400 stages would
         # underflow both products to 0 and give 0/0

@@ -99,9 +99,11 @@ def test_repeated_peaks_do_not_fake_leakage():
         run_chain(parse_config("[etalon]\nfsr_ghz = 2\n"))
 
 
-def test_default_run_makes_six_ffts(monkeypatch):
+def test_default_run_makes_six_ffts(monkeypatch, cold_front_end):
     # analytic envelope and detector: one real pair each; sideband +
-    # cascade: the one complex pair
+    # cascade: the one complex pair.  A run that shares the front end with
+    # the previous one makes only the cascade's inverse and the detector's
+    # pair.
     calls = []
     for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn"):
         fn = getattr(np.fft, name)
@@ -113,3 +115,6 @@ def test_default_run_makes_six_ffts(monkeypatch):
         monkeypatch.setattr(np.fft, name, counted)
     run_chain(default_config())
     assert sorted(calls) == ["fft", "ifft", "irfft", "irfft", "rfft", "rfft"]
+    calls.clear()
+    run_chain(parse_config("[run]\nseed = 1\n"))
+    assert sorted(calls) == ["ifft", "irfft", "rfft"]

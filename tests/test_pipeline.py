@@ -3,11 +3,13 @@ import json
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from pulsechain import (EtalonStack, GatePulse, RunReport, ValidationError,
-                        default_config, fit_trace, parse_config, read_trace,
-                        run_chain, set_config_value, stack_extinction_db, sweep)
+                        default_config, fit_trace, parse_config, pipeline,
+                        read_trace, run_chain, set_config_value,
+                        stack_extinction_db, sweep, valid_parameter_paths)
 from pulsechain.cli import main
 
 
@@ -159,21 +161,161 @@ class TestStrictJson:
 
 
 class TestMemory:
-    def test_run_peak_is_a_few_traces(self):
+    def test_run_peak_is_a_few_traces(self, cold_front_end):
         # one complex trace is 16*n bytes; the run used to peak at 13.7 of
         # them (real signals stored complex, copies into every container,
         # full-length cascade temporaries, every tap held to the end)
         n = 100_000
-        cfg = parse_config(f"[grid]\nn_samples = {n}\n"
-                           "[etalon]\napply_temp_jitter = true\n")
-        run_chain(cfg)  # first-call set-up is not part of the peak
+        design = (f"[grid]\nn_samples = {n}\n"
+                  "[etalon]\napply_temp_jitter = true\n")
+        run_chain(parse_config(design))  # first-call set-up is not part of it
+        pipeline._front_end.cache_clear()
         tracemalloc.start()
         try:
-            run_chain(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
+            run_chain(parse_config(design + "[run]\nseed = 1\n"))
+            kept, cold_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * 16 * n
+        # the memo keeps one complex spectrum, made before a warm run starts
+        assert pipeline._front_end.cache_info().currsize == 1
+        assert kept <= 1.05 * 16 * n
+        tracemalloc.start()
+        try:
+            run_chain(parse_config(design + "[run]\nseed = 2\n"))
+            warm_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cold_peak <= 8 * 16 * n
+        assert warm_peak + 16 * n <= 8 * 16 * n
+
+
+def _outcome(cfg, outdir=None):
+    """A run's report JSON, or its error message; with ``outdir``, the
+    bytes of every file it wrote."""
+    try:
+        text = run_chain(cfg, outdir).to_json()
+    except ValidationError as exc:
+        return f"error: {exc}"
+    return _tree_bytes(outdir) if outdir is not None else text
+
+
+def _tree_bytes(root):
+    return {name: read_bytes(os.path.join(root, name))
+            for name in sorted(os.listdir(root))}
+
+
+class TestFrontEndMemo:
+    # one changed value per [grid] [circuit] [dds] [bandpass] [mixer] [eom]
+    # key, each chosen to change the run's outcome: its report, or for the
+    # discharge after the gate, which only the v_be trace shows, its files
+    FRONT_END_KEYS = [
+        ("grid.dt_ns", 0.09), ("grid.n_samples", 12000),
+        ("grid.t_start_ns", -5.0),
+        ("circuit.i0_a", 2e-14), ("circuit.v_t_mv", 25.0),
+        ("circuit.c1_nf", 4.2), ("circuit.r11_ohm", 1100.0),
+        ("circuit.v_in_v", 4.2), ("circuit.v_drop_v", 0.65),
+        ("circuit.i_c_max_ma", 10.0), ("circuit.v_out_max_v", 0.5),
+        ("circuit.discharge_tau_ns", 150.0), ("circuit.load_ohm", 45.0),
+        ("circuit.gate_on_ns", 60.0), ("circuit.gate_len_ns", 700.0),
+        ("dds.f_clk_mhz", 510.0), ("dds.f_tune_mhz", 130.0),
+        ("dds.n_images", 2),
+        ("bandpass.f_center_mhz", 380.0),
+        ("bandpass.rejections_mhz_dbc", "125.0:60.0,500.0:24.0,625.0:35.0"),
+        ("bandpass.passband_loss_db", 1.0),
+        ("mixer.conversion_gain", 1.1), ("mixer.lo_leak_db", -50.0),
+        ("mixer.if_leak_db", -50.0),
+        ("eom.v_pi_v", 1.8), ("eom.drive_scale", 0.3),
+        ("eom.bandwidth_ghz", 1.0), ("eom.apply_bandwidth_rolloff", "true"),
+    ]
+
+    def test_key_list_covers_the_front_end_sections(self):
+        listed = {path for path, _ in self.FRONT_END_KEYS}
+        sections = ("grid", "circuit", "dds", "bandpass", "mixer", "eom")
+        assert listed == {p for p in valid_parameter_paths()
+                          if p.split(".")[0] in sections}
+
+    @pytest.mark.parametrize("path, value", FRONT_END_KEYS)
+    def test_every_front_end_key_is_in_the_memo_key(self, tmp_path,
+                                                    cold_front_end,
+                                                    path, value):
+        outdir = (lambda name: str(tmp_path / name)
+                  if path == "circuit.discharge_tau_ns" else None)
+        base = default_config()
+        cfg = set_config_value(base, path, value)
+        base_out = _outcome(base, outdir("base"))  # the memo holds it now
+        warm = _outcome(cfg, outdir("warm"))
+        pipeline._front_end.cache_clear()
+        cold = _outcome(cfg, outdir("cold"))
+        assert warm == cold
+
+        def strip(out):
+            if isinstance(out, dict):
+                return {k: v for k, v in out.items()
+                        if not k.startswith("report")}
+            return out if out.startswith("error") else (
+                json.loads(out) | {"provenance": None})
+
+        assert strip(cold) != strip(base_out)
+
+    def test_negative_zero_gate_start(self, cold_front_end):
+        # -0.0 and 0.0 are one key of the memo; the report keeps the sign
+        cfg_pos = parse_config("[circuit]\ngate_on_ns = 0.0\n")
+        cfg_neg = parse_config("[circuit]\ngate_on_ns = -0.0\n")
+        run_chain(cfg_pos)
+        warm = run_chain(cfg_neg).to_json()
+        pipeline._front_end.cache_clear()
+        assert warm == run_chain(cfg_neg).to_json()
+        assert '"gate_on_s": -0.0' in warm
+
+    def test_sweeps_shape_once_per_design(self, cold_front_end, monkeypatch):
+        calls = []
+        shaper = pipeline.simulate_circuit
+
+        def counted(*args):
+            calls.append(args)
+            return shaper(*args)
+
+        monkeypatch.setattr(pipeline, "simulate_circuit", counted)
+        sweep(default_config(), "etalon.fsr_ghz", [12.0, 15.0, 17.0, 25.0])
+        assert len(calls) == 1
+        calls.clear()
+        sweep(default_config(), "circuit.v_in_v", [4.0, 4.2, 4.4])
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("n", [10_000, 100_000])
+    @pytest.mark.parametrize("write", [False, True])
+    def test_warm_run_equals_cold_run(self, tmp_path, cold_front_end, n,
+                                      write):
+        design = (f"[grid]\nn_samples = {n}\n"
+                  "[etalon]\napply_temp_jitter = true\n")
+
+        def run(seed, name):
+            outdir = str(tmp_path / name) if write else None
+            text = run_chain(parse_config(design + f"[run]\nseed = {seed}\n"),
+                             outdir).to_json()
+            return _tree_bytes(outdir) if write else text
+
+        run(1, "prime")
+        warm = run(2, "warm")
+        pipeline._front_end.cache_clear()
+        assert warm == run(2, "cold")
+
+    def test_shared_state_is_not_writable(self, cold_front_end):
+        cfg = parse_config("[etalon]\napply_temp_jitter = true\n")
+        first = run_chain(cfg)
+        expected = first.to_json()
+        first.data["envelope"]["fit"]["tau_s"] = -1.0
+        first.data["rf"]["tones_after_bandpass"].clear()
+        first.data["eom"]["carrier_j0"] = 0.0
+        fe = pipeline._front_end(cfg.circuit, cfg.gate, cfg.grid, cfg.dds,
+                                 cfg.bandpass, cfg.mixer, cfg.eom, False)
+        assert pipeline._front_end.cache_info().hits == 1
+        spectrum = fe.sideband.copy()
+        with pytest.raises(ValueError):
+            fe.sideband[0] = 0.0
+        assert run_chain(cfg).to_json() == expected
+        assert np.array_equal(fe.sideband.view(np.int64),
+                              spectrum.view(np.int64))
 
 
 class TestSweep:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from pulsechain import (FitError, Spectrum, TimeGrid, ValidationError,
                         Waveform, analytic_envelope, apply_transfer,
                         fit_exponential, from_spectrum, one_pole_lowpass,
                         read_trace, to_spectrum, write_trace)
+from pulsechain import waveform
 from pulsechain.waveform import _TRACE_CHUNK, write_traces
 
 
@@ -565,3 +568,45 @@ class TestTraceIOOracle:
         path.write_text("time_s,value\n0.0,1.0\n1e-9,x\n2e-9,1,2\n")
         with pytest.raises(ValidationError, match="line 3: could not"):
             read_trace(path)
+
+    @pytest.mark.parametrize("read_chars", [1, 7, 64, 4096])
+    def test_read_blocks_keep_lines_and_line_numbers(self, tmp_path,
+                                                    monkeypatch, read_chars):
+        # CRLF pairs, lines and a leading blank run split between read
+        # blocks, and the line breaks str.splitlines knows besides "\n"
+        monkeypatch.setattr(waveform, "_READ_CHARS", read_chars)
+        ref = tmp_path / "ref.csv"
+        write_trace_reference(ref, trace_set(120)["complex.csv"])
+        lines = ref.read_text().splitlines()
+        lines[30] += "\x0c"
+        lines[60] = " \u2028 " + lines[60]
+        lines = [" " * 50, "", "\t"] + lines + ["\x1e"]
+        path = tmp_path / "messy.csv"
+        path.write_bytes("\r\n".join(lines).encode("utf-8"))
+        assert_same_waveform(read_trace(path), read_trace_reference(path))
+        lines[90] = "1e-9,1.0"  # line 91, moved two down by the breaks above
+        path.write_bytes("\r\n".join(lines).encode("utf-8"))
+        with pytest.raises(ValidationError, match="line 93: expected 3") as new:
+            read_trace(path)
+        with pytest.raises(ValidationError) as old:
+            read_trace_reference(path)
+        assert str(new.value) == str(old.value)
+
+    def test_read_holds_a_block_not_the_file(self, tmp_path):
+        # a complex trace of 1e5 rows with full-length values (6.6 MB)
+        n = 100_000
+        rng = np.random.default_rng(3)
+        pool = np.array([repr(x) for x in rng.standard_normal(1000).tolist()])
+        values = [pool[rng.integers(0, 1000, n)] for _ in range(2)]
+        rows = zip(map(str, range(n)), *map(list, values))
+        path = tmp_path / "complex.csv"
+        path.write_text("time_s,real,imag\n" + "\n".join(map(",".join, rows)))
+        tracemalloc.start()
+        try:
+            w = read_trace(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.grid.n_samples == n and w.samples.dtype == np.complex128
+        # held whole with its lines, the file made an 18 MB peak
+        assert peak <= 8e6

@@ -26,9 +26,8 @@ from .rfchain import (BandpassSpec, DdsParams, MixerParams, apply_bandpass,
                       dds_tones, dominant_tone, frequency_double,
                       frequency_quadruple, mix_envelope)
 from .waveform import (FitResult, Spectrum, TimeGrid, Waveform,
-                       analytic_envelope, apply_transfer, filter_spectrum,
-                       fit_exponential, from_spectrum, one_pole_lowpass,
-                       read_trace, to_spectrum, write_trace)
+                       analytic_envelope, fit_exponential, from_spectrum,
+                       one_pole_lowpass, read_trace, to_spectrum, write_trace)
 
 __all__ = [
     "__version__",
@@ -52,7 +51,6 @@ __all__ = [
     "BandpassSpec", "DdsParams", "MixerParams", "apply_bandpass", "dds_tones",
     "dominant_tone", "frequency_double", "frequency_quadruple", "mix_envelope",
     "FitResult", "Spectrum", "TimeGrid", "Waveform", "analytic_envelope",
-    "apply_transfer", "filter_spectrum", "fit_exponential", "from_spectrum",
-    "one_pole_lowpass",
+    "fit_exponential", "from_spectrum", "one_pole_lowpass",
     "read_trace", "to_spectrum", "write_trace",
 ]

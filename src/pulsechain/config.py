@@ -271,6 +271,11 @@ def _build(merged, stage_overrides):
         v_pi=val("eom", "v_pi_v"), drive_scale=val("eom", "drive_scale"),
         bandwidth_hz=si("eom", "bandwidth_ghz", 1e9),
         apply_bandwidth_rolloff=val("eom", "apply_bandwidth_rolloff")))
+    if not eom.bandwidth_hz > f_s:
+        raise ValidationError(
+            f"config [eom] bandwidth_ghz = {val('eom', 'bandwidth_ghz')!r} "
+            f"must exceed the carrier f_S = {f_s:g} Hz that [dds] and "
+            "[bandpass] select")
 
     def make_stack():
         n = val("etalon", "n_stages")

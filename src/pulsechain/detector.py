@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .waveform import Waveform, one_pole_lowpass
+from .waveform import Waveform, _filter_real, one_pole_lowpass
 
 
 @dataclass(frozen=True)
@@ -36,16 +36,14 @@ def detect(field: Waveform, d: DetectorParams) -> Waveform:
     Invariant under a global phase of the field; nonnegative before
     filtering (the poles may introduce a small undershoot, see
     :func:`undershoot_fraction`).  The power is real and the pole product
-    Hermitian, so the filter is one real transform pair.
+    Hermitian, so the filter is :func:`~pulsechain.waveform._filter_real`.
     """
     power = d.responsivity * np.abs(field.samples) ** 2
     poles = [one_pole_lowpass(bw) for bw in (d.bandwidth_hz, d.scope_bandwidth_hz)
              if bw is not None and np.isfinite(bw)]
     if poles:
-        f = np.fft.rfftfreq(len(power), field.grid.dt)
-        spec = np.fft.rfft(power)
-        spec *= math.prod(p(f) for p in poles)
-        power = np.fft.irfft(spec, len(power))
+        power = _filter_real(power, field.grid.dt,
+                             lambda f: math.prod(p(f) for p in poles))
     power.flags.writeable = False
     return Waveform(grid=field.grid, samples=power, unit="V")
 

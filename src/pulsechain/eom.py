@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .waveform import Waveform, apply_transfer, one_pole_lowpass
+from .waveform import Waveform, _filter_real, one_pole_lowpass
 
 
 @dataclass(frozen=True)
@@ -96,10 +96,7 @@ def phase_modulate(drive: Waveform, m: ModulatorParams) -> Waveform:
         raise ValidationError(
             "phase_modulate: |drive|*drive_scale exceeds the 5*v_pi sanity bound")
     if m.apply_bandwidth_rolloff:
-        v.flags.writeable = False
-        shaped = apply_transfer(Waveform(grid=drive.grid, samples=v, unit="V"),
-                                one_pole_lowpass(m.bandwidth_hz))
-        v = shaped.samples.real
+        v = _filter_real(v, drive.grid.dt, one_pole_lowpass(m.bandwidth_hz))
     env = np.exp(1j * np.pi * v / m.v_pi)
     env.flags.writeable = False
     return Waveform(grid=drive.grid, samples=env, unit="sqrtW")

@@ -73,7 +73,8 @@ def _atomic_write(path, text):
 
 # The config sections whose values set each stage, named in its errors.
 _STAGE_SECTIONS = {"envelope": "[circuit] [grid]",
-                   "rf": "[dds] [bandpass] [mixer] [grid]", "eom": "[eom]",
+                   "rf": "[dds] [bandpass] [mixer] [grid]",
+                   "eom": "[eom] [circuit] [mixer]",
                    "etalon": "[etalon]", "detector": "[detector]",
                    "atom": "[atom] [grid]"}
 
@@ -156,10 +157,6 @@ def _front_end(circuit, gate, grid, dds, bandpass, mixer, eom, keep_taps):
     tones_bpf = _stage("rf", lambda: apply_bandpass(tones, bandpass))
     tones_rf = _stage("rf", lambda: frequency_quadruple(tones_bpf))
     f_s = dominant_tone(tones_rf)[0]
-    if eom.bandwidth_hz <= f_s:
-        raise _stage_error(
-            "eom", f"modulator bandwidth {eom.bandwidth_hz:g} Hz "
-            f"must exceed the carrier f_S = {f_s:g} Hz")
     rf = _stage("rf", lambda: mix_envelope(v_out, f_s, mixer))
     del v_be, v_out
     tap("rf_drive.csv", rf)

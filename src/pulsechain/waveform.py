@@ -189,35 +189,27 @@ def from_spectrum(s: Spectrum, t_start=0.0) -> Waveform:
     return _inverse(s.amplitudes, grid)
 
 
-def filter_spectrum(s: Spectrum, gain, grid: TimeGrid, unit="") -> Waveform:
-    """Waveform on ``grid`` whose spectrum is ``gain * s``.
-
-    ``gain`` holds one finite value per bin of ``s`` (a scalar is allowed);
-    :func:`apply_transfer` filters through it.
-    """
-    h = np.asarray(gain)
-    if not np.all(np.isfinite(h)):
-        raise ValidationError("transfer function returned non-finite values")
-    return _inverse(np.broadcast_to(h, s.amplitudes.shape) * s.amplitudes,
-                    grid, unit)
-
-
-def apply_transfer(w: Waveform, transfer) -> Waveform:
-    """Filter a waveform with a frequency-response callable H(f).
-
-    H receives the array of frequency offsets (Hz) covering the waveform's
-    spectral support and must return finite complex values (scalar allowed).
-    Linear and composable: H1 then H2 equals H1*H2.
-    """
-    spec = to_spectrum(w)
-    return filter_spectrum(spec, transfer(spec.frequencies()), w.grid, w.unit)
-
-
 def one_pole_lowpass(f_c):
     """First-order low-pass response H(f) = 1 / (1 + i f / f_c)."""
     if not (f_c > 0):
         raise ValidationError("one_pole_lowpass needs f_c > 0")
     return lambda f: 1.0 / (1.0 + 1j * f / f_c)
+
+
+def _filter_real(x, dt, transfer):
+    """The real signal ``x``, sampled every ``dt``, through the transfer
+    function H(f), as a new read-only float64 array.
+
+    The one filter of real signals: ``irfft(rfft(x) * H(rfftfreq))``.
+    ``transfer`` receives the frequencies f >= 0 and returns H there (a
+    scalar is allowed); H(-f) = conj H(f), as for any real filter.  At even
+    ``len(x)`` the Nyquist bin is real, so H acts there by its real part.
+    """
+    spec = np.fft.rfft(x)
+    spec *= transfer(np.fft.rfftfreq(len(x), dt))
+    out = np.fft.irfft(spec, len(x))
+    out.flags.writeable = False
+    return out
 
 
 def analytic_envelope(w: Waveform) -> Waveform:
@@ -229,9 +221,7 @@ def analytic_envelope(w: Waveform) -> Waveform:
     their purely imaginary -i X drops out without being zeroed.
     """
     x = w.samples.real
-    spec = np.fft.rfft(x)
-    spec *= -1j
-    env = np.hypot(x, np.fft.irfft(spec, len(x)))
+    env = np.hypot(x, _filter_real(x, w.grid.dt, lambda f: -1j))
     env.flags.writeable = False
     return Waveform(grid=w.grid, samples=env, unit=w.unit)
 
@@ -343,10 +333,12 @@ def fit_exponential(w: Waveform, window, direction) -> FitResult:
     mask = z > 1e-9 * zmax
     if np.count_nonzero(mask) < 8:
         raise FitError("fit rejected: too few usable samples above offset")
-    # weighted log-linear LS; weights z^2 approximate linear-space residuals
+    # weighted log-linear LS; weights z^2 approximate linear-space residuals.
+    # z is first scaled by the power of two that brings zmax into [0.5, 1):
+    # exact, so the fit is unchanged, and z^2 neither under- nor overflows
     lz = np.log(z[mask])
     tm = t[mask]
-    wgt = z[mask] ** 2
+    wgt = np.ldexp(z[mask], -np.frexp(zmax)[1]) ** 2
     sw = wgt.sum()
     st = (wgt * tm).sum() / sw
     sl2 = (wgt * (tm - st) ** 2).sum()

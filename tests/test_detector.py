@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from pulsechain import (DetectorParams, EtalonStack, TimeGrid, ValidationError,
-                        Waveform, apply_transfer, detect, filter_pulse,
-                        fit_exponential, one_pole_lowpass, undershoot_fraction)
+                        Waveform, detect, filter_pulse, fit_exponential,
+                        one_pole_lowpass, undershoot_fraction)
+from spectral_oracle import apply_transfer
 
 GRID = TimeGrid(0.0, 0.1e-9, 10000)
 WIDE_OPEN = DetectorParams(bandwidth_hz=None, scope_bandwidth_hz=None)

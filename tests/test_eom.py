@@ -3,10 +3,10 @@ import pytest
 from scipy import special
 
 from pulsechain import (MixerParams, ModulatorParams, TimeGrid,
-                        ValidationError, Waveform, apply_transfer, bessel_j,
-                        demodulate, distortion_fraction, mix_envelope,
-                        phase_modulate, sideband_amplitude, sideband_window,
-                        to_spectrum)
+                        ValidationError, Waveform, bessel_j, demodulate,
+                        distortion_fraction, mix_envelope, phase_modulate,
+                        sideband_amplitude, sideband_window, to_spectrum)
+from spectral_oracle import apply_transfer
 
 GRID = TimeGrid(0.0, 0.1e-9, 10000)  # 1.5 GHz is exactly on a 1 MHz bin
 F_S = 1.5e9

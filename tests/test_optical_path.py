@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 
 from pulsechain import (DetectorParams, LeakageWarning, Waveform,
-                        apply_bandpass, apply_transfer, dds_tones,
-                        default_config, demodulate, detect, dominant_tone,
-                        filter_pulse, frequency_quadruple, mix_envelope,
-                        one_pole_lowpass, parse_config, phase_modulate,
-                        run_chain, sideband_window, simulate_circuit,
-                        stack_transmission, with_thermal_jitter)
+                        apply_bandpass, dds_tones, default_config, demodulate,
+                        detect, dominant_tone, filter_pulse,
+                        frequency_quadruple, mix_envelope, one_pole_lowpass,
+                        parse_config, phase_modulate, run_chain,
+                        sideband_window, simulate_circuit, stack_transmission,
+                        with_thermal_jitter)
+from spectral_oracle import apply_transfer
 from test_eom import decompose_sidebands
 
 ROUNDOFF = 1e-12   # of the trace peak

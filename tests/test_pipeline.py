@@ -117,9 +117,33 @@ class TestSpecialConfigs:
         assert "atom" not in run_chain(cfg).data
 
     def test_eom_bandwidth_below_carrier_aborts_with_stage(self):
-        cfg = parse_config("[eom]\nbandwidth_ghz = 1.0\n")
-        with pytest.raises(ValidationError, match="eom"):
+        # the config decides it, so parsing refuses it, naming key and f_S
+        with pytest.raises(ValidationError,
+                           match=r"\[eom\] bandwidth_ghz = 1\.0 .*f_S = 1\.5e\+09 Hz"):
+            parse_config("[eom]\nbandwidth_ghz = 1.0\n")
+
+    def test_overdriven_modulator_error_names_the_drive_sections(self):
+        # the drive level is set by [circuit] and [mixer] as well as [eom]
+        cfg = parse_config("[mixer]\nconversion_gain = 1e9\n")
+        with pytest.raises(ValidationError,
+                           match=r"stage 'eom' \(config .*\[mixer\].*5\*v_pi"):
             run_chain(cfg)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("circuit", "i0_a", "1e-300"), ("circuit", "load_ohm", "1e-300"),
+        ("circuit", "c1_nf", "1e300"), ("circuit", "r11_ohm", "1e300"),
+        ("detector", "responsivity", "1e-300")])
+    def test_tiny_signals_fit_without_warnings(self, section, key, value):
+        # the suite turns RuntimeWarning into an error; these once made the
+        # fit weights underflow to 0/0 and read as a contradicting trend
+        rep = run_chain(parse_config(f"[{section}]\n{key} = {value}\n")).data
+        fits = [rep["envelope"]["fit"], rep["rf"]["envelope_fit"],
+                rep["etalon"]["rise_fit"], rep["detector"]["rise_fit"],
+                rep["detector"]["fall_fit"]]
+        assert not any("contradicts" in f.get("error", "") for f in fits)
+        if key in ("i0_a", "load_ohm"):
+            assert rep["envelope"]["fit"]["tau_s"] == pytest.approx(27e-9,
+                                                                    rel=1e-6)
 
     def test_gate_outside_grid_aborts_with_stage(self):
         # parse_config rejects this gate; a config built directly still
@@ -225,7 +249,7 @@ class TestFrontEndMemo:
         ("mixer.conversion_gain", 1.1), ("mixer.lo_leak_db", -50.0),
         ("mixer.if_leak_db", -50.0),
         ("eom.v_pi_v", 1.8), ("eom.drive_scale", 0.3),
-        ("eom.bandwidth_ghz", 1.0), ("eom.apply_bandwidth_rolloff", "true"),
+        ("eom.bandwidth_ghz", 2.0), ("eom.apply_bandwidth_rolloff", "true"),
     ]
 
     def test_key_list_covers_the_front_end_sections(self):
@@ -241,6 +265,8 @@ class TestFrontEndMemo:
         outdir = (lambda name: str(tmp_path / name)
                   if path == "circuit.discharge_tau_ns" else None)
         base = default_config()
+        if path == "eom.bandwidth_ghz":  # shapes the drive only with roll-off
+            base = set_config_value(base, "eom.apply_bandwidth_rolloff", "true")
         cfg = set_config_value(base, path, value)
         base_out = _outcome(base, outdir("base"))  # the memo holds it now
         warm = _outcome(cfg, outdir("warm"))

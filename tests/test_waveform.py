@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from pulsechain import (FitError, Spectrum, TimeGrid, ValidationError,
-                        Waveform, analytic_envelope, apply_transfer,
-                        fit_exponential, from_spectrum, one_pole_lowpass,
-                        read_trace, to_spectrum, write_trace)
+                        Waveform, analytic_envelope, fit_exponential,
+                        from_spectrum, one_pole_lowpass, read_trace,
+                        to_spectrum, write_trace)
 from pulsechain import waveform
-from pulsechain.waveform import _TRACE_CHUNK, write_traces
+from pulsechain.waveform import _TRACE_CHUNK, _filter_real, write_traces
+from spectral_oracle import apply_transfer
 
 
 def wave(samples, dt=0.1e-9, t_start=0.0, unit=""):
@@ -177,6 +178,8 @@ class TestTransforms:
 
 
 class TestApplyTransfer:
+    """The tests' complex-path reference filter (``spectral_oracle``)."""
+
     def test_identity(self):
         rng = np.random.default_rng(3)
         w = wave(rng.standard_normal(128))
@@ -232,6 +235,63 @@ class TestApplyTransfer:
         assert np.max(np.abs(seq - prod)) <= 1e-10 * np.max(np.abs(prod))
 
 
+class TestFilterReal:
+    """The package's one filter of real signals."""
+
+    def test_identity_gives_a_new_readonly_copy(self):
+        x = np.random.default_rng(3).standard_normal(128)
+        out = _filter_real(x, 0.1e-9, lambda f: 1.0)
+        assert out.dtype == np.float64 and not out.flags.writeable
+        assert not np.shares_memory(out, x)
+        assert np.max(np.abs(out - x)) < 1e-12
+
+    @pytest.mark.parametrize("n", [1000, 1001])
+    def test_matches_complex_path(self, n):
+        # H(-f) = conj H(f): the real pair equals the full complex transform
+        x = np.random.default_rng(n).standard_normal(n)
+        h = one_pole_lowpass(300e6)
+        ref = apply_transfer(wave(x), h).samples.real
+        out = _filter_real(x, 0.1e-9, h)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_one_pole_step_rise_time(self):
+        # 10-90% rise of a first-order low-pass step response is
+        # ln(9)/(2 pi f_c) = 0.3497/f_c
+        g = TimeGrid(0.0, 0.1e-9, 10000)
+        t = g.times()
+        f_c = 50e6
+        out = _filter_real((t >= 300e-9).astype(float), g.dt,
+                           one_pole_lowpass(f_c))
+        k0 = g.index_at(300e-9)  # search after the edge (FFT is circular)
+
+        def crossing(level):
+            i = k0 + np.nonzero(out[k0:] >= level)[0][0]
+            frac = (level - out[i - 1]) / (out[i] - out[i - 1])
+            return t[i - 1] + frac * g.dt
+
+        rise = crossing(0.9) - crossing(0.1)
+        assert rise == pytest.approx(0.35 / f_c, rel=0.05)
+
+    def test_linearity(self):
+        rng = np.random.default_rng(11)
+        x1, x2 = rng.standard_normal(256), rng.standard_normal(256)
+        h = one_pole_lowpass(200e6)
+        a, b = 1.7, -0.4
+        lhs = _filter_real(a * x1 + b * x2, 0.1e-9, h)
+        rhs = a * _filter_real(x1, 0.1e-9, h) + b * _filter_real(x2, 0.1e-9, h)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-10 * np.max(np.abs(lhs))
+
+    def test_composition(self):
+        # odd length: at even length the Nyquist bin is real, so each pass
+        # takes Re H(f_N) there and Re(H1) Re(H2) != Re(H1 H2)
+        x = np.random.default_rng(12).standard_normal(511)
+        h1 = one_pole_lowpass(100e6)
+        h2 = one_pole_lowpass(300e6)
+        seq = _filter_real(_filter_real(x, 0.1e-9, h1), 0.1e-9, h2)
+        prod = _filter_real(x, 0.1e-9, lambda f: h1(f) * h2(f))
+        assert np.max(np.abs(seq - prod)) <= 1e-10 * np.max(np.abs(prod))
+
+
 class TestFitExponential:
     def test_exact_rising_27ns(self):
         g = TimeGrid(0.0, 0.1e-9, 801)
@@ -281,6 +341,15 @@ class TestFitExponential:
         r1 = fit_exponential(w, (0.0, 100e-9), "rising")
         r2 = fit_exponential(w, (0.0, 100e-9), "rising")
         assert r1 == r2
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160])
+    def test_tiny_amplitudes(self, scale):
+        # the weights are z^2: at 1e-160 and below they underflowed to 0
+        g = TimeGrid(0.0, 0.1e-9, 801)
+        w = Waveform(grid=g, samples=scale * np.exp(g.times() / 27e-9))
+        r = fit_exponential(w, (0.0, 80e-9), "rising")
+        assert r.tau == pytest.approx(27e-9, rel=1e-9)
+        assert r.amplitude == pytest.approx(scale, rel=1e-9)
 
     def test_rejects_nonmonotone(self):
         g = TimeGrid(0.0, 0.1e-9, 1001)

@@ -12,7 +12,7 @@ import hashlib
 import io
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .atom import AtomParams, step_is_stable
 from .detector import DetectorParams
@@ -70,7 +70,7 @@ _SCHEMA = {
 
 def _parse_number(section, key, raw, kind):
     """One scalar value; NaN is never accepted, +-inf only by kind ``inf``."""
-    raw = raw.strip()
+    raw = str(raw).strip()
     try:
         if kind == "i":
             try:
@@ -107,7 +107,7 @@ def _si(key, value, scale):
 
 def _parse_rejections(section, key, raw):
     pairs = []
-    for chunk in raw.split(","):
+    for chunk in str(raw).split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
@@ -136,22 +136,28 @@ def _canon(value, kind):
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Validated full-chain parameter set plus its canonical key-value form."""
+    """A chain design built and validated from ``kv`` alone (section -> key
+    -> value text, absent keys at their defaults).  The typed blocks derive
+    from it; edit with :func:`set_config_value` or ``replace(cfg, kv=...)``."""
 
-    grid: TimeGrid
-    circuit: CircuitParams
-    gate: GatePulse
-    dds: DdsParams
-    bandpass: BandpassSpec
-    mixer: MixerParams
-    eom: ModulatorParams
-    etalon: EtalonStack
-    apply_temp_jitter: bool
-    detector: DetectorParams
-    atom: AtomParams
-    run_excitation: bool
-    seed: int
     kv: dict
+    grid: TimeGrid = field(init=False)
+    circuit: CircuitParams = field(init=False)
+    gate: GatePulse = field(init=False)
+    dds: DdsParams = field(init=False)
+    bandpass: BandpassSpec = field(init=False)
+    mixer: MixerParams = field(init=False)
+    eom: ModulatorParams = field(init=False)
+    etalon: EtalonStack = field(init=False)
+    apply_temp_jitter: bool = field(init=False)
+    detector: DetectorParams = field(init=False)
+    atom: AtomParams = field(init=False)
+    run_excitation: bool = field(init=False)
+    seed: int = field(init=False)
+
+    def __post_init__(self):
+        for name, value in _build(*_merge_with_defaults(self.kv)).items():
+            object.__setattr__(self, name, value)
 
 
 def _merge_with_defaults(sections):
@@ -339,13 +345,11 @@ def _build(merged, stage_overrides):
     if val("run", "seed") < 0:
         raise ValidationError("config [run]: seed must be >= 0")
 
-    return ChainConfig(
-        grid=grid, circuit=circuit, gate=gate, dds=dds, bandpass=bandpass,
-        mixer=mixer, eom=eom, etalon=etalon_stack,
-        apply_temp_jitter=val("etalon", "apply_temp_jitter"),
-        detector=detector, atom=atom,
-        run_excitation=val("atom", "run_excitation"),
-        seed=val("run", "seed"), kv=kv)
+    return dict(grid=grid, circuit=circuit, gate=gate, dds=dds,
+                bandpass=bandpass, mixer=mixer, eom=eom, etalon=etalon_stack,
+                apply_temp_jitter=val("etalon", "apply_temp_jitter"),
+                detector=detector, atom=atom, seed=val("run", "seed"),
+                run_excitation=val("atom", "run_excitation"), kv=kv)
 
 
 def parse_config(text) -> ChainConfig:
@@ -356,9 +360,7 @@ def parse_config(text) -> ChainConfig:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ValidationError(f"config parse error: {exc}") from None
-    sections = {s: dict(cp.items(s)) for s in cp.sections()}
-    merged, overrides = _merge_with_defaults(sections)
-    return _build(merged, overrides)
+    return ChainConfig({s: dict(cp.items(s)) for s in cp.sections()})
 
 
 def load_config(path) -> ChainConfig:
@@ -411,6 +413,5 @@ def set_config_value(cfg: ChainConfig, path, value) -> ChainConfig:
             f"unknown parameter path {path!r}; valid paths: "
             + ", ".join(valid_parameter_paths()))
     sections = {s: dict(kv) for s, kv in cfg.kv.items()}
-    sections[section][key] = str(value)
-    merged, overrides = _merge_with_defaults(sections)
-    return _build(merged, overrides)
+    sections[section][key] = value
+    return ChainConfig(sections)

@@ -322,6 +322,11 @@ def fit_exponential(w: Waveform, window, direction) -> FitResult:
         raise ValidationError("fit window must contain at least 16 samples")
     t_win = g.t_start + g.dt * np.arange(sl.start, sl.stop)
     t = t_win - t_win[0]
+    # far from 1, an exact power of two brings the peak into [0.5, 1), so
+    # no product in the fit under- or overflows; A and B are scaled back
+    shift = int(np.frexp(np.max(y))[1])
+    shift = shift if abs(shift) > 200 else 0
+    y = np.ldexp(y, -shift) if shift else y
 
     _check_trend(y, sign)
 
@@ -333,12 +338,10 @@ def fit_exponential(w: Waveform, window, direction) -> FitResult:
     mask = z > 1e-9 * zmax
     if np.count_nonzero(mask) < 8:
         raise FitError("fit rejected: too few usable samples above offset")
-    # weighted log-linear LS; weights z^2 approximate linear-space residuals.
-    # z is first scaled by the power of two that brings zmax into [0.5, 1):
-    # exact, so the fit is unchanged, and z^2 neither under- nor overflows
+    # weighted log-linear LS; weights z^2 approximate linear-space residuals
     lz = np.log(z[mask])
     tm = t[mask]
-    wgt = np.ldexp(z[mask], -np.frexp(zmax)[1]) ** 2
+    wgt = z[mask] ** 2
     sw = wgt.sum()
     st = (wgt * tm).sum() / sw
     sl2 = (wgt * (tm - st) ** 2).sum()
@@ -373,10 +376,10 @@ def fit_exponential(w: Waveform, window, direction) -> FitResult:
     except np.linalg.LinAlgError:
         pass
 
-    ynorm = float(np.linalg.norm(y))
-    return FitResult(tau=float(best[1]), amplitude=float(best[0]),
-                     offset=float(best[2]),
-                     residual_norm=r0 / ynorm if ynorm > 0 else 0.0,
+    return FitResult(tau=float(best[1]),
+                     amplitude=float(np.ldexp(best[0], shift)),
+                     offset=float(np.ldexp(best[2], shift)),
+                     residual_norm=r0 / float(np.linalg.norm(y)),
                      window=(t_a, t_b))
 
 

@@ -1,7 +1,10 @@
+import dataclasses
+
 import pytest
 
-from pulsechain import (ValidationError, config_sha256, default_config,
-                        parse_config, serialize_config, set_config_value,
+from pulsechain import (ChainConfig, GatePulse, ValidationError, config_sha256,
+                        default_config, parse_config, run_chain,
+                        serialize_config, set_config_value,
                         valid_parameter_paths)
 
 
@@ -211,3 +214,32 @@ class TestSetValue:
         paths = valid_parameter_paths()
         assert "circuit.v_in_v" in paths
         assert "etalon.fsr_ghz" in paths
+
+
+class TestBuiltFromKv:
+    """A config is its key-values: every way to build one parses and checks
+    them, and its typed blocks are derived from them."""
+
+    def test_kv_is_the_only_input(self):
+        assert [f.name for f in dataclasses.fields(ChainConfig)
+                if f.init] == ["kv"]
+        assert ChainConfig({"grid": {"dt_ns": "1e-1"}}).kv == default_config().kv
+        # a value given as a number is read as its text
+        assert ChainConfig({"grid": {"n_samples": 20000}}).kv["grid"][
+            "n_samples"] == "20000"
+
+    def test_a_block_cannot_be_replaced(self):
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(default_config(), gate=GatePulse(50e-9, 400e-9))
+
+    def test_three_ways_to_one_setting_agree(self):
+        kv = {s: dict(items) for s, items in default_config().kv.items()}
+        kv["circuit"]["gate_len_ns"] = "4e2"
+        ways = [parse_config("[circuit]\ngate_len_ns = 4e2\n"),
+                set_config_value(default_config(), "circuit.gate_len_ns", "4e2"),
+                dataclasses.replace(default_config(), kv=kv)]
+        texts = {serialize_config(cfg) for cfg in ways}
+        assert len(texts) == 1 and "gate_len_ns = 400.0\n" in texts.pop()
+        assert len({config_sha256(cfg) for cfg in ways}) == 1
+        assert len({run_chain(cfg).to_json() for cfg in ways}) == 1
+        assert ways[2].gate.duration == pytest.approx(400e-9)

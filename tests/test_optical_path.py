@@ -8,16 +8,18 @@ the cascade as one gain between one forward and one inverse transform, and
 the detector applies the product of its poles in one pair.
 """
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from pulsechain import (DetectorParams, LeakageWarning, Waveform,
-                        apply_bandpass, dds_tones, default_config, demodulate,
-                        detect, dominant_tone, filter_pulse,
-                        frequency_quadruple, mix_envelope, one_pole_lowpass,
-                        parse_config, phase_modulate, run_chain,
+                        analytic_envelope, apply_bandpass, bessel_j, dds_tones,
+                        default_config, demodulate, detect, dominant_tone,
+                        filter_pulse, frequency_quadruple, mix_envelope,
+                        one_pole_lowpass, parse_config, phase_modulate,
+                        photon_lifetime, read_trace, run_chain,
                         sideband_window, simulate_circuit, stack_transmission,
                         with_thermal_jitter)
 from spectral_oracle import apply_transfer
@@ -119,3 +121,32 @@ def test_default_run_makes_six_ffts(monkeypatch, cold_front_end):
     calls.clear()
     run_chain(parse_config("[run]\nseed = 1\n"))
     assert sorted(calls) == ["ifft", "irfft", "rfft"]
+
+
+def test_exponential_passes_the_chain_as_itself(tmp_path):
+    # e^{t/tau} is an eigenfunction of every linear stage: before the cutoff
+    # the filtered sideband is J1(pi x(t)) times the cascade's one-pole
+    # limits 1/(1 + tau_k s) at s = 1/tau, and the detected power is
+    # |filtered|^2 times the detector's two poles at s = 2/tau.  Leaks off,
+    # so no CW floor adds to the pulse; the median rides over a ~2% ripple,
+    # most likely the carrier that the cascade lets through.
+    cfg = parse_config("[mixer]\nlo_leak_db = -inf\nif_leak_db = -inf\n")
+    rep = run_chain(cfg, str(tmp_path)).data
+    rf, filtered, detected = (read_trace(tmp_path / name) for name in (
+        "rf_drive.csv", "filtered_envelope.csv", "detected_power.csv"))
+    tau = rep["envelope"]["tau_design_s"]
+    t = cfg.grid.times()
+    late = (t > cfg.gate.t_off - 50e-9) & (t < cfg.gate.t_off)
+    x = cfg.eom.drive_scale * analytic_envelope(rf).samples[late] / cfg.eom.v_pi
+    field = np.abs(filtered.samples[late])
+
+    cascade = math.prod(1.0 / (1.0 + photon_lifetime(e) / tau)
+                        for e in cfg.etalon.stages)
+    ratio = np.median(field / np.abs(bessel_j(1, np.pi * x)))
+    assert ratio == pytest.approx(cascade, rel=2e-3)
+
+    d = cfg.detector
+    poles = math.prod(1.0 / (1.0 + 2.0 / (tau * 2.0 * math.pi * f_c))
+                      for f_c in (d.bandwidth_hz, d.scope_bandwidth_hz))
+    ratio = np.median(detected.samples[late] / (d.responsivity * field ** 2))
+    assert ratio == pytest.approx(poles, rel=2e-3)

@@ -18,6 +18,13 @@ def read_bytes(path):
         return fh.read()
 
 
+def with_kv(cfg, section, **texts):
+    """``cfg`` with some keys' text changed, by ``dataclasses.replace``."""
+    kv = {s: dict(items) for s, items in cfg.kv.items()}
+    kv[section].update(texts)
+    return dataclasses.replace(cfg, kv=kv)
+
+
 @pytest.fixture(scope="module")
 def report():
     return run_chain(default_config()).data
@@ -102,15 +109,16 @@ class TestSpecialConfigs:
         assert 20.0 <= rep["etalon"]["cascade_extinction_db"] <= 22.0
 
     def test_zero_length_gate_degenerate(self):
-        # a gate too short for the grid is refused at parse, naming both
-        # keys; a config built directly meets the envelope stage's check
-        with pytest.raises(ValidationError,
-                           match=r"\[grid\]: dt_ns = 0.1 .*\[circuit\] gate_len_ns"):
+        # a gate too short for the grid never runs: parsing refuses it,
+        # naming both keys, and no config can be built around parsing
+        match = r"\[grid\]: dt_ns = 0.1 .*\[circuit\] gate_len_ns = 0.01"
+        with pytest.raises(ValidationError, match=match):
             parse_config("[circuit]\ngate_len_ns = 0.01\n")
-        cfg = dataclasses.replace(default_config(),
-                                  gate=GatePulse(t_on=50e-9, duration=0.01e-9))
-        with pytest.raises(ValidationError, match="stage 'envelope'"):
-            run_chain(cfg)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(default_config(),
+                                gate=GatePulse(t_on=50e-9, duration=0.01e-9))
+        with pytest.raises(ValidationError, match=match):
+            with_kv(default_config(), "circuit", gate_len_ns="0.01")
 
     def test_excitation_can_be_disabled(self):
         cfg = parse_config("[atom]\nrun_excitation = false\n")
@@ -132,10 +140,13 @@ class TestSpecialConfigs:
     @pytest.mark.parametrize("section, key, value", [
         ("circuit", "i0_a", "1e-300"), ("circuit", "load_ohm", "1e-300"),
         ("circuit", "c1_nf", "1e300"), ("circuit", "r11_ohm", "1e300"),
-        ("detector", "responsivity", "1e-300")])
-    def test_tiny_signals_fit_without_warnings(self, section, key, value):
+        ("detector", "responsivity", "1e-300"),
+        ("detector", "responsivity", "1e300")])
+    def test_tiny_signals_fit_without_warnings(self, section, key, value,
+                                               report):
         # the suite turns RuntimeWarning into an error; these once made the
-        # fit weights underflow to 0/0 and read as a contradicting trend
+        # fit weights underflow to 0/0 and read as a contradicting trend,
+        # and a huge detected power overflowed the fit's offset estimate
         rep = run_chain(parse_config(f"[{section}]\n{key} = {value}\n")).data
         fits = [rep["envelope"]["fit"], rep["rf"]["envelope_fit"],
                 rep["etalon"]["rise_fit"], rep["detector"]["rise_fit"],
@@ -144,14 +155,42 @@ class TestSpecialConfigs:
         if key in ("i0_a", "load_ohm"):
             assert rep["envelope"]["fit"]["tau_s"] == pytest.approx(27e-9,
                                                                     rel=1e-6)
+        if key == "responsivity":
+            # the detected trace is only rescaled: its fits are the default's
+            for name in ("rise_fit", "fall_fit"):
+                fit = rep["detector"][name]
+                assert fit["residual_norm"] > 0
+                assert fit["tau_s"] == pytest.approx(
+                    report["detector"][name]["tau_s"], rel=1e-14)
 
     def test_gate_outside_grid_aborts_with_stage(self):
-        # parse_config rejects this gate; a config built directly still
-        # meets the envelope stage's own check
-        cfg = dataclasses.replace(default_config(),
-                                  gate=GatePulse(t_on=600e-9, duration=500e-9))
-        with pytest.raises(ValidationError, match="envelope"):
+        # a gate that ends past the grid never runs: parsing refuses it,
+        # naming the grid and gate keys, and a block cannot be replaced
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(default_config(),
+                                gate=GatePulse(t_on=600e-9, duration=500e-9))
+        with pytest.raises(ValidationError,
+                           match=r"\[grid\]: dt_ns = 0.1 .*\[circuit\] "
+                                 r"gate_on_ns = 600.0, gate_len_ns = 500.0"):
+            with_kv(default_config(), "circuit", gate_on_ns="600",
+                    gate_len_ns="500")
+
+    def test_vanishing_shaper_output_aborts_with_stage(self):
+        # the gate is fine, but the output underflows to 0 V: the data
+        # decides this, so the envelope stage refuses it at run time
+        cfg = parse_config("[circuit]\ni0_a = 1e-300\nc1_nf = 1e300\n")
+        with pytest.raises(ValidationError,
+                           match=r"stage 'envelope' .*output peak is 0 V"):
             run_chain(cfg)
+
+    def test_sweep_keeps_an_edit_in_every_point(self):
+        edited = with_kv(default_config(), "circuit", gate_len_ns="400")
+        reports = sweep(edited, "etalon.fsr_ghz", [12.0, 17.0, 24.0])
+        for r in reports:
+            assert r.data["envelope"]["gate_len_s"] == edited.gate.duration
+        assert edited.gate.duration == pytest.approx(400e-9)
+        # 17 GHz is the config's own value: that point is the run itself
+        assert reports[1].to_json() == run_chain(edited).to_json()
 
 
 class TestStrictJson:

@@ -351,6 +351,24 @@ class TestFitExponential:
         assert r.tau == pytest.approx(27e-9, rel=1e-9)
         assert r.amplitude == pytest.approx(scale, rel=1e-9)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300])
+    def test_fit_is_scale_free(self, scale):
+        # at 1e300 the offset estimate's third sums once overflowed, and at
+        # 1e-300 the residual norm underflowed to 0; a small ripple keeps
+        # the fit from being exact, so its residual is a number to compare
+        g = TimeGrid(0.0, 0.1e-9, 801)
+        t = g.times()
+        x = np.exp(t / 27e-9) * (1.0 + 1e-3 * np.sin(2 * np.pi * t / 20e-9))
+        ref = fit_exponential(Waveform(grid=g, samples=x), (0.0, 80e-9),
+                              "rising")
+        r = fit_exponential(Waveform(grid=g, samples=scale * x), (0.0, 80e-9),
+                            "rising")
+        assert r.tau == pytest.approx(ref.tau, rel=1e-14)
+        assert r.tau == pytest.approx(27e-9, rel=2e-3)
+        assert r.amplitude == pytest.approx(scale * ref.amplitude, rel=1e-14)
+        assert r.residual_norm == pytest.approx(ref.residual_norm, rel=1e-12)
+        assert r.residual_norm > 0
+
     def test_rejects_nonmonotone(self):
         g = TimeGrid(0.0, 0.1e-9, 1001)
         w = Waveform(grid=g, samples=2 + np.sin(2 * np.pi * 50e6 * g.times()))

@@ -15,9 +15,9 @@ scope.
 Integrator: classical fixed-step RK4 run with step 2*dt so that every stage
 lands on a grid sample; for this linear equation the step is a first-order
 recurrence c_{k+1} = p*c_k + F_k with precomputed forcing, evaluated as a
-blocked prefix scan (Blelloch 1990) with no per-step Python loop (see
-_excite_scan).  The scan needs a damping step, 0 < |p| < 1, which
-step_is_stable checks.
+blocked prefix scan (Blelloch 1990) with no per-step Python loop, streamed
+in groups of rows (see _scan_pieces).  The scan needs a damping step,
+0 < |p| < 1, which step_is_stable checks.
 """
 
 import math
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .waveform import TimeGrid, Waveform
+from .waveform import TimeGrid, Waveform, _spans
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,20 @@ def step_is_stable(a: AtomParams, dt) -> bool:
     return 0.0 < abs(_step_factor(_amplitude_coefs(a)[0] * (2.0 * dt))) < 1.0
 
 
+_GROUP = 1 << 14  # RK4 steps per group of the streamed scan: ~1 MB of work
+
+
 def _excite_scan(xi, dt, a, b):
-    """Amplitude trace c of dc/dt = a*c + b*xi(t) with c(0) = 0.
+    """Amplitude trace c of dc/dt = a*c + b*xi(t) with c(0) = 0: the pieces
+    of :func:`_scan_pieces` joined."""
+    return np.concatenate(list(_scan_pieces(
+        np.asarray(xi, dtype=np.complex128), dt, a, b)))
+
+
+def _scan_pieces(x, dt, a, b, scale=None):
+    """The amplitude trace c of dc/dt = a*c + b*xi(t) with c(0) = 0, for the
+    drive xi = x*scale (x itself when ``scale`` is None), as consecutive
+    complex pieces whose concatenation is c.
 
     Classical RK4 with step h = 2*dt, so the half-step stage falls on a real
     sample and the sampled drive is never interpolated (the drives of
@@ -101,51 +113,70 @@ def _excite_scan(xi, dt, a, b):
     from one non-accumulating dt-step whose midpoint drive is the local
     quadratic through three neighbouring samples (the linear midpoint when
     the trace has only two samples).
+
+    The rows are streamed in groups of whole rows, about ``_GROUP`` steps
+    each: a group scales its own samples of x, forms its forcing, runs its
+    rows and yields its outputs, and the carry passes to the next group as
+    from row to row.  Every output is computed by the same operations as
+    in one pass over all rows, and no full-length array is made.
     """
-    xi = np.asarray(xi, dtype=np.complex128)
-    n = len(xi)
-    c = np.zeros(n, dtype=np.complex128)
+    n = len(x)
+
+    def drive(lo, hi):
+        part = x[lo:hi] if scale is None else x[lo:hi] * scale
+        return np.asarray(part, dtype=np.complex128)
+
     p1, b0, b1, b2 = _rk4_coeffs(dt, a, b)
     if n == 2:
-        c[1] = b0 * xi[0] + b1 * ((xi[0] + xi[1]) / 2) + b2 * xi[1]
-        return c
+        xi = drive(0, 2)
+        yield np.array([0.0, b0 * xi[0] + b1 * ((xi[0] + xi[1]) / 2)
+                        + b2 * xi[1]], dtype=np.complex128)
+        return
 
     m = (n - 1) // 2  # full 2*dt steps
-    x0 = xi[0:2 * m - 1:2]
-    x1 = xi[1:2 * m:2]
-    x2 = xi[2:2 * m + 1:2]
-
     p2, a0, a1, a2 = _rk4_coeffs(2.0 * dt, a, b)
     block = max(1, int(min(m, 8.0 / -math.log(abs(p2)))))
-    n_blocks = -(-m // block)
-    # even[k] = c[2k]; the forcing is written in place of its outputs and
-    # the tail past m pads the last row with zero forcing.
-    even = np.zeros(n_blocks * block + 1, dtype=np.complex128)
-    forcing = even[1:m + 1]
-    np.multiply(x0, a0, out=forcing)
-    forcing += a1 * x1
-    forcing += a2 * x2
-    rows = even[1:].reshape(n_blocks, block)
     pw = np.exp(np.log(complex(p2)) * np.arange(1.0, block + 1))  # p^(j+1)
-    rows *= 1.0 / pw
-    np.cumsum(rows, axis=1, out=rows)
-    rows *= pw
-    for r in range(1, n_blocks):
-        rows[r] += rows[r - 1, -1] * pw
-    c[0:2 * m + 1:2] = even[:m + 1]
+    carry = None  # c at the group's first even index, after the first group
+    for k0, k1 in _spans(m, max(1, _GROUP // block) * block):
+        k = k1 - k0  # steps in this group
+        xi = drive(2 * k0, 2 * (k0 + k) + 1)
+        x0, x1, x2 = xi[0:2 * k - 1:2], xi[1:2 * k:2], xi[2:2 * k + 1:2]
+        n_rows = -(-k // block)
+        # even[j] = c[2(k0 + j)]; the forcing is written in place of its
+        # outputs and the tail past k pads the last row with zero forcing.
+        even = np.zeros(n_rows * block + 1, dtype=np.complex128)
+        forcing = even[1:k + 1]
+        np.multiply(x0, a0, out=forcing)
+        forcing += a1 * x1
+        forcing += a2 * x2
+        rows = even[1:].reshape(n_rows, block)
+        rows *= 1.0 / pw
+        np.cumsum(rows, axis=1, out=rows)
+        rows *= pw
+        if carry is not None:
+            even[0] = carry
+            rows[0] += carry * pw
+        for r in range(1, n_rows):
+            rows[r] += rows[r - 1, -1] * pw
+        carry = even[k]
 
-    # odd outputs, with the midpoint drive fm = (3*x0 + 6*x1 - x2)/8
-    odd = c[1:2 * m:2]
-    np.multiply(even[:m], p1, out=odd)
-    odd += (b0 + 0.375 * b1) * x0
-    odd += (0.75 * b1 + b2) * x1
-    odd -= (0.125 * b1) * x2
+        # odd outputs, with the midpoint drive fm = (3*x0 + 6*x1 - x2)/8
+        c = np.empty(2 * k, dtype=np.complex128)
+        c[0::2] = even[:k]
+        odd = c[1::2]
+        np.multiply(even[:k], p1, out=odd)
+        odd += (b0 + 0.375 * b1) * x0
+        odd += (0.75 * b1 + b2) * x1
+        odd -= (0.125 * b1) * x2
+        yield c
 
+    tail = [carry]  # c[2m]
     if n % 2 == 0:  # trailing odd index
-        y0, y1, y2 = xi[n - 3], xi[n - 2], xi[n - 1]
+        y0, y1, y2 = drive(n - 3, n)
         fme = (-y0 + 6.0 * y1 + 3.0 * y2) / 8.0
-        c[n - 1] = p1 * c[n - 2] + (b0 * y1 + b1 * fme + b2 * y2)
-    return c
+        tail.append(p1 * carry + (b0 * y1 + b1 * fme + b2 * y2))
+    yield np.array(tail, dtype=np.complex128)
 
 
 def _refine_peak(p, grid: TimeGrid):
@@ -194,15 +225,21 @@ def _probability_trace(pulse_mode: Waveform, a: AtomParams):
             f"excite: the RK4 step 2*dt = {2.0 * dt:g} s is unstable for "
             f"gamma = {a.gamma:g} 1/s and detuning = {a.detuning_hz:g} Hz; "
             "use a finer sample spacing")
-    power = np.abs(pulse_mode.samples) ** 2
-    norm2 = (power.sum() - 0.5 * (power[0] + power[-1])) * dt
-    del power
+    # |x|^2 for the energy, then |c|^2 over it as the scan streams c
+    p = np.abs(pulse_mode.samples)
+    np.square(p, out=p)
+    norm2 = (p.sum() - 0.5 * (p[0] + p[-1])) * dt
     if norm2 <= 0.0:
         raise ValidationError("excite: pulse mode has zero energy")
+    lo = 0
     # x * (1/s), as numpy divides a complex x by a real s, for any dtype
-    xi = pulse_mode.samples * (1.0 / np.sqrt(norm2))
-    p = np.abs(_excite_scan(xi, dt, *_amplitude_coefs(a)))
-    return np.square(p, out=p)
+    for c in _scan_pieces(pulse_mode.samples, dt, *_amplitude_coefs(a),
+                          scale=1.0 / np.sqrt(norm2)):
+        out = p[lo:lo + len(c)]
+        np.abs(c, out=out)
+        np.square(out, out=out)
+        lo += len(c)
+    return p
 
 
 def rising_exponential_pulse(grid: TimeGrid, tau_amp, t_cut) -> Waveform:

@@ -134,11 +134,27 @@ def _canon(value, kind):
     return repr(float(value))
 
 
+class _ReadOnlyDict(dict):
+    """A dict whose mutators raise TypeError.  It compares equal to a dict
+    and serialises, copies, deep-copies and pickles as one."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("ChainConfig.kv is read-only; edit a config with "
+                        "set_config_value or replace(cfg, kv=...)")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class ChainConfig:
     """A chain design built and validated from ``kv`` alone (section -> key
     -> value text, absent keys at their defaults).  The typed blocks derive
-    from it; edit with :func:`set_config_value` or ``replace(cfg, kv=...)``."""
+    from it, so ``kv`` is stored read-only; edit with
+    :func:`set_config_value` or ``replace(cfg, kv=...)``."""
 
     kv: dict
     grid: TimeGrid = field(init=False)
@@ -341,6 +357,9 @@ def _build(merged, stage_overrides):
         for name in sorted(stage_overrides[idx]):
             kv["etalon"][f"stage{idx}_{name}"] = _canon(
                 stage_overrides[idx][name], "f")
+
+    kv = _ReadOnlyDict({section: _ReadOnlyDict(items)
+                        for section, items in kv.items()})
 
     if val("run", "seed") < 0:
         raise ValidationError("config [run]: seed must be >= 0")

@@ -36,14 +36,17 @@ def detect(field: Waveform, d: DetectorParams) -> Waveform:
     Invariant under a global phase of the field; nonnegative before
     filtering (the poles may introduce a small undershoot, see
     :func:`undershoot_fraction`).  The power is real and the pole product
-    Hermitian, so the filter is :func:`~pulsechain.waveform._filter_real`.
+    Hermitian, so the filter is :func:`~pulsechain.waveform._filter_real`,
+    which writes the filtered trace over the power it has transformed.
     """
-    power = d.responsivity * np.abs(field.samples) ** 2
+    power = np.abs(field.samples)
+    np.square(power, out=power)
+    np.multiply(d.responsivity, power, out=power)
     poles = [one_pole_lowpass(bw) for bw in (d.bandwidth_hz, d.scope_bandwidth_hz)
              if bw is not None and np.isfinite(bw)]
     if poles:
-        power = _filter_real(power, field.grid.dt,
-                             lambda f: math.prod(p(f) for p in poles))
+        _filter_real(power, field.grid.dt,
+                     lambda f: math.prod(p(f) for p in poles), out=power)
     power.flags.writeable = False
     return Waveform(grid=field.grid, samples=power, unit="V")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import LeakageWarning, ValidationError
-from .waveform import Waveform, _forward, _inverse
+from .waveform import _BINS, Waveform, _forward, _inverse, _spans
 
 
 @dataclass(frozen=True)
@@ -179,9 +179,6 @@ def with_thermal_jitter(s: EtalonStack, rng):
     return EtalonStack(stages=tuple(stages))
 
 
-_BINS = 1 << 14  # bins per block of filter_pulse's gain: O(block) temporaries
-
-
 def filter_pulse(field: Waveform, s: EtalonStack, pre_gain=None) -> Waveform:
     """Send a (sideband-centered) envelope through the cascade.
 
@@ -197,23 +194,33 @@ def filter_pulse(field: Waveform, s: EtalonStack, pre_gain=None) -> Waveform:
     return _filter_spectrum(amps, field.grid, field.unit, s, pre_gain, out=amps)
 
 
+def _fft_frequencies(lo, hi, n, dt):
+    """``np.fft.fftfreq(n, dt)[lo:hi]``, computed as fftfreq computes it."""
+    k = np.arange(lo, hi)
+    k[k >= (n - 1) // 2 + 1] -= n
+    return k * (1.0 / (n * dt))
+
+
 def _filter_spectrum(amps, grid, unit, s: EtalonStack, pre_gain=None, out=None):
     """:func:`filter_pulse` on ``amps``, the normalized DFT
     (:func:`~pulsechain.waveform._forward`) of a field on ``grid``.
 
-    The filtered spectrum is written to ``out``, a new array by default, so
-    ``amps`` is only read unless it is ``out`` itself: a shared, read-only
-    spectrum can be filtered again with another stack.
+    The filtered spectrum is written to ``out``, a new array by default, and
+    transformed back in place, so ``amps`` is only read unless it is ``out``
+    itself: a shared, read-only spectrum can be filtered again with another
+    stack.  The frequencies, gains and leak mask are built in blocks of
+    ``_BINS`` bins, so beside ``out`` the pass holds only the spectral
+    power, the mask and O(block) temporaries.
     """
     n = grid.n_samples
-    f = np.fft.fftfreq(n, grid.dt)
     if out is None:
         out = np.empty_like(amps)
     power = np.empty(n)
     half_fsr = s.min_fsr_hz / 2.0
     peak = (-1.0, 0.0)  # |h| and offset of the peak nearest the sideband
-    for lo in range(0, n, _BINS):
-        fb, ab, ob, pb = (x[lo:lo + _BINS] for x in (f, amps, out, power))
+    for lo, hi in _spans(n, _BINS):
+        fb = _fft_frequencies(lo, hi, n, grid.dt)
+        ab, ob, pb = (x[lo:hi] for x in (amps, out, power))
         h = stack_transmission(fb, s)
         pre = 1.0 if pre_gain is None else pre_gain(fb)
         np.square(np.abs(pre * ab, out=pb), out=pb)
@@ -229,14 +236,17 @@ def _filter_spectrum(amps, grid, unit, s: EtalonStack, pre_gain=None, out=None):
         np.multiply(gain, ab, out=ob)
     total = power.sum()
     if total > 0:
-        inside = np.abs(f - peak[1]) <= half_fsr
-        outside_frac = float(power[~inside].sum() / total)
+        outside = np.empty(n, dtype=bool)
+        for lo, hi in _spans(n, _BINS):
+            fb = _fft_frequencies(lo, hi, n, grid.dt)
+            np.greater(np.abs(fb - peak[1]), half_fsr, out=outside[lo:hi])
+        outside_frac = float(power[outside].sum() / total)
         if outside_frac > 0.01:
             warnings.warn(
                 f"{outside_frac:.1%} of pulse energy lies beyond +-FSR/2 of "
                 f"the cascade transmission peak", LeakageWarning, stacklevel=3)
-    del f, power  # before the inverse transform allocates its output
-    return _inverse(out, grid, unit)
+    del power  # before the inverse transform allocates its scratch space
+    return _inverse(out, grid, unit, overwrite=True)
 
 
 def stage_diagnostics(s: EtalonStack, carrier_offset_hz):

@@ -21,8 +21,8 @@ from .detector import detect, undershoot_fraction
 from .envelope import simulate_circuit, tau_from_control_voltage
 from .eom import bessel_j, demodulate, distortion_fraction, phase_modulate, sideband_window
 from .errors import FitError, ValidationError
-from .etalon import (_filter_spectrum, photon_lifetime, stage_diagnostics,
-                     with_thermal_jitter)
+from .etalon import (_filter_spectrum, photon_lifetime, stack_transmission,
+                     stage_diagnostics, with_thermal_jitter)
 from .rfchain import apply_bandpass, dds_tones, dominant_tone, frequency_quadruple, mix_envelope
 from .waveform import (_forward, analytic_envelope, fit_exponential, read_trace,
                        write_traces)
@@ -217,9 +217,23 @@ def run_chain(cfg: ChainConfig, outdir=None) -> RunReport:
     stack = cfg.etalon
     if cfg.apply_temp_jitter:
         stack = with_thermal_jitter(stack, np.random.default_rng(cfg.seed))
+    diag = stage_diagnostics(stack, carrier_offset_hz=-f_s)
+    # a +1 sideband no stronger than the carrier leaking through a cascade
+    # that rejects the carrier leaves no pulse: the drive is empty.  (Where
+    # the cascade passes the carrier at half its sideband transmission or
+    # more, the etalon, not the drive, sets the leak; its block reports it.)
+    j1, j0 = abs(fe.eom["sideband_j1"]), abs(fe.eom["carrier_j0"])
+    t_carrier = 10.0 ** (-diag["cascade_extinction_db"] / 20.0)
+    leak = j0 * t_carrier
+    if (not j1 > leak
+            and t_carrier < 0.5 * abs(stack_transmission(0.0, stack))):
+        raise _stage_error(
+            "eom", f"the +1 sideband J1 = {j1:.3g} is not above the carrier "
+            f"J0*|T(-f_S)| = {leak:.3g} that leaks through the cascade: the "
+            "drive that [eom] drive_scale, [eom] v_pi_v and [mixer] "
+            "conversion_gain set leaves no pulse")
     filtered = _stage("etalon", lambda: _filter_spectrum(
         fe.sideband, grid, "sqrtW", stack, pre_gain=sideband_window(f_s)))
-    diag = stage_diagnostics(stack, carrier_offset_hz=-f_s)
     ring_amp = max(photon_lifetime(e) for e in stack.stages)
     report["etalon"] = {
         **diag,

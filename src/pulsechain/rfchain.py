@@ -126,11 +126,15 @@ def mix_envelope(envelope: Waveform, f_s, m: MixerParams) -> Waveform:
         raise ValidationError(
             f"grid too coarse for f_s = {f_s:g} Hz: fewer than 4 samples "
             f"per carrier cycle")
-    t = envelope.times()
-    lo = np.cos(2.0 * np.pi * f_s * t)
+    # one scratch trace: the times become the LO, then each added term
+    lo = envelope.times()
+    np.multiply(2.0 * np.pi * f_s, lo, out=lo)
+    np.cos(lo, out=lo)
     env = envelope.samples.real
     out = m.conversion_gain * env * lo
-    out += 10.0 ** (m.lo_leak_db / 20.0) * lo
-    out += 10.0 ** (m.if_leak_db / 20.0) * env
+    np.multiply(10.0 ** (m.lo_leak_db / 20.0), lo, out=lo)
+    out += lo
+    np.multiply(10.0 ** (m.if_leak_db / 20.0), env, out=lo)
+    out += lo
     out.flags.writeable = False
     return Waveform(grid=envelope.grid, samples=out, unit="V")

@@ -170,9 +170,10 @@ def _forward(x):
     return amps
 
 
-def _inverse(amps, grid: TimeGrid, unit="") -> Waveform:
-    """The waveform on ``grid`` whose :func:`_forward` DFT is ``amps``."""
-    out = np.fft.ifft(amps)
+def _inverse(amps, grid: TimeGrid, unit="", overwrite=False) -> Waveform:
+    """The waveform on ``grid`` whose :func:`_forward` DFT is ``amps``.  With
+    ``overwrite``, ``amps`` is transformed in place and becomes the samples."""
+    out = np.fft.ifft(amps, out=amps if overwrite else None)
     out *= np.sqrt(len(amps))
     out.flags.writeable = False
     return Waveform(grid=grid, samples=out, unit=unit)
@@ -196,18 +197,43 @@ def one_pole_lowpass(f_c):
     return lambda f: 1.0 / (1.0 + 1j * f / f_c)
 
 
-def _filter_real(x, dt, transfer):
-    """The real signal ``x``, sampled every ``dt``, through the transfer
-    function H(f), as a new read-only float64 array.
+_BINS = 1 << 14  # bins per block of a spectral gain: O(block) temporaries
 
-    The one filter of real signals: ``irfft(rfft(x) * H(rfftfreq))``.
+
+def _spans(n, size):
+    """Consecutive ``(lo, hi)`` spans of ``size`` covering ``range(n)``.
+
+    A one-element remainder joins the span before it: numpy rounds an
+    in-place complex product on a one-element array differently from the
+    same product inside a longer one, so a blocked pass must not make a
+    one-element block that the whole-array pass does not.
+    """
+    lo = 0
+    while lo < n:
+        hi = n if n - lo <= size + 1 else lo + size
+        yield lo, hi
+        lo = hi
+
+
+def _filter_real(x, dt, transfer, out=None):
+    """The real signal ``x``, sampled every ``dt``, through the transfer
+    function H(f), as a read-only float64 array: a new one, or ``out``
+    (which may be ``x`` itself).
+
+    The one filter of real signals: ``irfft(rfft(x) * H(rfftfreq))``, with
+    H applied to the spectrum in blocks of ``_BINS`` bins and f built per
+    block as ``rfftfreq`` builds it, so no full-length f or H exists.
     ``transfer`` receives the frequencies f >= 0 and returns H there (a
     scalar is allowed); H(-f) = conj H(f), as for any real filter.  At even
     ``len(x)`` the Nyquist bin is real, so H acts there by its real part.
     """
+    n = len(x)
     spec = np.fft.rfft(x)
-    spec *= transfer(np.fft.rfftfreq(len(x), dt))
-    out = np.fft.irfft(spec, len(x))
+    df = 1.0 / (n * dt)
+    for lo, hi in _spans(len(spec), _BINS):
+        block = spec[lo:hi]
+        block *= transfer(np.arange(lo, hi) * df)
+    out = np.fft.irfft(spec, n, out=out)
     out.flags.writeable = False
     return out
 

@@ -1,4 +1,7 @@
+import copy
 import dataclasses
+import json
+import pickle
 
 import pytest
 
@@ -227,6 +230,35 @@ class TestBuiltFromKv:
         # a value given as a number is read as its text
         assert ChainConfig({"grid": {"n_samples": 20000}}).kv["grid"][
             "n_samples"] == "20000"
+
+    def test_kv_cannot_be_edited_in_place(self):
+        # an edit would change config_sha256 but not the typed blocks
+        cfg = default_config()
+        edits = [lambda kv: kv["circuit"].__setitem__("gate_len_ns", "400.0"),
+                 lambda kv: kv["circuit"].update(gate_len_ns="400.0"),
+                 lambda kv: kv["circuit"].pop("gate_len_ns"),
+                 lambda kv: kv.__delitem__("circuit"),
+                 lambda kv: kv.setdefault("extra", {}),
+                 lambda kv: kv["grid"].clear()]
+        for edit in edits:
+            with pytest.raises(TypeError, match="read-only"):
+                edit(cfg.kv)
+        with pytest.raises(TypeError, match="read-only"):
+            cfg.kv["grid"] |= {"n_samples": "20000"}
+        assert cfg.kv == default_config().kv
+        assert cfg.gate.duration == pytest.approx(750e-9)
+
+    def test_kv_serialises_pickles_and_copies_as_a_dict(self):
+        cfg = set_config_value(default_config(), "etalon.stage2_loss", "0.01")
+        plain = json.loads(json.dumps(cfg.kv))
+        assert cfg.kv == plain and isinstance(cfg.kv, dict)
+        for again in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg),
+                      copy.copy(cfg)):
+            assert again == cfg and again.kv == plain
+            assert config_sha256(again) == config_sha256(cfg)
+            with pytest.raises(TypeError):
+                again.kv["etalon"]["loss"] = "0.5"
+        assert dataclasses.replace(cfg, kv=plain) == cfg
 
     def test_a_block_cannot_be_replaced(self):
         with pytest.raises(ValueError, match="init=False"):

@@ -137,6 +137,25 @@ class TestSpecialConfigs:
                            match=r"stage 'eom' \(config .*\[mixer\].*5\*v_pi"):
             run_chain(cfg)
 
+    @pytest.mark.parametrize("text", ["[eom]\nv_pi_v = 1e300\n",
+                                      "[eom]\ndrive_scale = 1e-300\n"])
+    def test_empty_modulator_setting_aborts_naming_the_drive_keys(self, text):
+        # J1 = 2.7e-301 against a carrier leak J0*|T(-f_S)| = 8.1e-4: the
+        # "pulse" would be carrier leaking through the cascade
+        with pytest.raises(ValidationError) as err:
+            run_chain(parse_config(text))
+        msg = str(err.value)
+        assert msg.startswith("stage 'eom'") and "J0*|T(-f_S)| = 0.000813" in msg
+        for key in ("[eom] drive_scale", "[eom] v_pi_v",
+                    "[mixer] conversion_gain"):
+            assert key in msg
+
+    def test_weak_drive_above_the_leak_still_runs(self, report):
+        # the LO leak alone drives J1 = 0.0042, above the 8.1e-4 leak
+        data = run_chain(parse_config("[mixer]\nconversion_gain = 1e-300\n")).data
+        assert data["eom"]["sideband_j1"] == pytest.approx(0.00423, rel=1e-2)
+        assert report["eom"]["sideband_j1"] == pytest.approx(0.157, rel=1e-2)
+
     @pytest.mark.parametrize("section, key, value", [
         ("circuit", "i0_a", "1e-300"), ("circuit", "load_ohm", "1e-300"),
         ("circuit", "c1_nf", "1e300"), ("circuit", "r11_ohm", "1e300"),

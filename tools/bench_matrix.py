@@ -1,0 +1,201 @@
+#!/usr/bin/env python3
+"""Time ``run_chain`` across the north star's matrix and, optionally, the
+benchmark against a parent checkout; print the record or append it to
+``BENCH_chain.json``.
+
+    python3 tools/bench_matrix.py [--reps N] [--parent DIR --pairs K
+                                   --seconds S] [--append FILE]
+
+The matrix runs ``run_chain`` at 1e4, 1e5 and 1e6 samples (jitter on), with
+and without trace files, cold (the front-end memo cleared before each run)
+and warm (the memo filled by an untimed run, the seed changed per run).
+Each cell runs in its own single-threaded process, so its ``ru_maxrss_mb``
+is that cell's high-water mark; times are best-of-N with the median and the
+largest, and ``tracemalloc_peak_mb`` is one more run's peak above the
+memory live before it.
+
+With ``--parent``, ``chainbench/run.py`` runs every workload in the parent
+checkout and in this one, alternately, ``--pairs`` times each, and the
+record gets the median and [q1, q3] of ``op_p50_s`` and ``peak_rss_mb`` on
+both sides.  Run it from a copy whose directory sits beside the parent's
+and has a name of the same length: the benchmark's host-speed block
+depends on the heap layout, which the path moves.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import resource
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+import tracemalloc
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIZES = (10_000, 100_000, 1_000_000)
+WORKLOADS = ("chain_1m", "sweep_small", "simulate_traces", "atom_shapes")
+SINGLE_THREAD = {name: "1" for name in (
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")}
+
+
+def _cell(n, traces, mode, reps):
+    """One matrix cell, in this process; returns its record."""
+    from pulsechain import parse_config, pipeline
+
+    def config(seed):
+        return parse_config(f"[grid]\nn_samples = {n}\n[etalon]\n"
+                            f"apply_temp_jitter = true\n[run]\nseed = {seed}\n")
+
+    scratch = tempfile.mkdtemp(prefix="bench-matrix-")
+    try:
+        def run(seed):
+            if mode == "cold":
+                pipeline._front_end.cache_clear()
+            outdir = os.path.join(scratch, str(seed)) if traces else None
+            t0 = time.perf_counter()
+            pipeline.run_chain(config(seed), outdir)
+            elapsed = time.perf_counter() - t0
+            if outdir:
+                shutil.rmtree(outdir)
+            return elapsed
+
+        if mode == "warm":
+            run(0)
+        times = [run(seed) for seed in range(1, reps + 1)]
+        maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        tracemalloc.start()
+        run(reps + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    return {"n_samples": n, "traces": traces, "mode": mode, "reps": reps,
+            "best_s": min(times), "median_s": statistics.median(times),
+            "max_s": max(times), "tracemalloc_peak_mb": peak / 1e6,
+            "ru_maxrss_mb": maxrss * 1024 / 1e6}
+
+
+def _child_env(root):
+    env = dict(os.environ, **SINGLE_THREAD)
+    env["PYTHONPATH"] = os.path.join(root, "src")
+    return env
+
+
+def matrix(reps):
+    cells = []
+    for n in SIZES:
+        for traces in (False, True):
+            for mode in ("cold", "warm"):
+                r = reps if n < 1_000_000 or not traces else max(1, reps // 2)
+                proc = subprocess.run(
+                    [sys.executable, os.path.abspath(__file__), "--cell",
+                     str(n), str(int(traces)), mode, str(r)],
+                    env=_child_env(ROOT), stdout=subprocess.PIPE, text=True,
+                    check=True)
+                cells.append(json.loads(proc.stdout.splitlines()[-1]))
+                print(json.dumps(cells[-1]), file=sys.stderr)
+    return cells
+
+
+def _chainbench(root, workload, seed, seconds):
+    proc = subprocess.run(
+        [sys.executable, os.path.join("chainbench", "run.py"), "--workload",
+         workload, "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=root, stdout=subprocess.PIPE, text=True, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    return {k: v["value"] for k, v in result["metrics"].items()}
+
+
+def _spread(values):
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": med, "q1_q3": [q1, q3], "runs": values}
+
+
+def pairs(parent, n_pairs, seconds):
+    out = {}
+    for workload in WORKLOADS:
+        sides = {"parent": [], "change": []}
+        for i in range(n_pairs):
+            order = (("parent", parent), ("change", ROOT))
+            for side, root in order if i % 2 == 0 else order[::-1]:
+                sides[side].append(_chainbench(root, workload, i, seconds))
+                print(workload, side, json.dumps(sides[side][-1]),
+                      file=sys.stderr)
+        out[workload] = {
+            side: {metric: _spread([run[metric] for run in runs])
+                   for metric in ("op_p50_s", "peak_rss_mb", "ok_frac")}
+            for side, runs in sides.items()}
+    return out
+
+
+def _git_sha(root):
+    proc = subprocess.run(["git", "-C", root, "rev-parse", "HEAD"],
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                          text=True)
+    return proc.stdout.strip() or None
+
+
+def _src(root):
+    """sha256 over ``src/`` (path and bytes of each .py file, as the
+    benchmark's provenance computes it) and its line count."""
+    src = os.path.join(root, "src")
+    sha, lines = hashlib.sha256(), 0
+    for path in sorted(os.path.join(d, f) for d, _, fs in os.walk(src)
+                       for f in fs if f.endswith(".py")):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        sha.update(os.path.relpath(path, src).encode() + b"\0" + data)
+        lines += data.count(b"\n")
+    return sha.hexdigest(), lines
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--reps", type=int, default=5)
+    ap.add_argument("--parent", help="checkout of the parent commit")
+    ap.add_argument("--pairs", type=int, default=5)
+    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--append", help="JSON list to append the record to")
+    ap.add_argument("--cell", nargs=4, help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.cell:
+        n, traces, mode, reps = args.cell
+        print(json.dumps(_cell(int(n), traces == "1", mode, int(reps))))
+        return 0
+
+    import numpy as np
+    src_sha, src_lines = _src(ROOT)
+    record = {"git_sha": _git_sha(ROOT), "src_sha256": src_sha,
+              "src_lines": src_lines,
+              "backend": f"numpy {np.__version__}",
+              "python": sys.version.split()[0], "nproc": os.cpu_count(),
+              "matrix": matrix(args.reps)}
+    if args.parent:
+        parent_sha, parent_lines = _src(args.parent)
+        record["parent"] = {"git_sha": _git_sha(args.parent),
+                            "src_sha256": parent_sha,
+                            "src_lines": parent_lines}
+        record["chainbench"] = {"seconds": args.seconds,
+                                "pairs": args.pairs,
+                                "workloads": pairs(args.parent, args.pairs,
+                                                   args.seconds)}
+    if args.append:
+        entries = []
+        if os.path.exists(args.append):
+            with open(args.append, encoding="utf-8") as fh:
+                entries = json.load(fh)
+        entries.append(record)
+        with open(args.append, "w", encoding="utf-8") as fh:
+            json.dump(entries, fh, indent=1)
+            fh.write("\n")
+    print(json.dumps(record, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

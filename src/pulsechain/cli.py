@@ -115,11 +115,10 @@ def _cmd_excite(args):
         print(f"p_max = {result.p_max:.6g}")
         print(f"t_at_max = {result.t_at_max:.6g} s")
         return
-    report = run_chain(cfg, None)
-    atom_block = report.data.get("atom")
-    if atom_block is None:
+    if not cfg.run_excitation:
         raise ValidationError(
             "config disables [atom] run_excitation and no --pulse given")
+    atom_block = run_chain(cfg, None).data["atom"]
     print(f"p_max = {atom_block['p_max']:.6g}")
     print(f"t_at_max = {atom_block['t_at_max_s']:.6g} s")
     print(f"efficiency_vs_matched = {atom_block['efficiency_vs_matched']:.6g}")

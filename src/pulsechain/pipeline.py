@@ -24,8 +24,8 @@ from .errors import FitError, ValidationError
 from .etalon import (_filter_spectrum, photon_lifetime, stack_transmission,
                      stage_diagnostics, with_thermal_jitter)
 from .rfchain import apply_bandpass, dds_tones, dominant_tone, frequency_quadruple, mix_envelope
-from .waveform import (_forward, analytic_envelope, fit_exponential, read_trace,
-                       write_traces)
+from .waveform import (TimeGrid, Waveform, _forward, analytic_envelope,
+                       fit_exponential, read_trace, write_traces)
 
 
 def _py(obj):
@@ -100,6 +100,23 @@ def _try_fit(w, window, direction):
         return {"tau_s": None, "error": str(exc)}
 
 
+# the rf envelope is fitted inside the gate, so its analytic signal is taken
+# over the gate and this margin on each side (clamped to the grid) only
+_HILBERT_MARGIN_S = 250e-9
+
+
+def _gate_span(w, gate):
+    """``w`` over the gate +- ``_HILBERT_MARGIN_S``: ``w`` itself when that
+    covers the grid, else a waveform on the sub-grid."""
+    g = w.grid
+    sl = g.window_slice(gate.t_on - _HILBERT_MARGIN_S,
+                        gate.t_off + _HILBERT_MARGIN_S)
+    if sl.stop - sl.start == g.n_samples:
+        return w
+    sub = TimeGrid(g.t_start + g.dt * sl.start, g.dt, sl.stop - sl.start)
+    return Waveform(grid=sub, samples=w.samples[sl], unit=w.unit)
+
+
 class _FrontEnd(NamedTuple):
     envelope: dict        # the envelope, rf and eom report blocks
     rf: dict
@@ -163,7 +180,8 @@ def _front_end(circuit, gate, grid, dds, bandpass, mixer, eom, keep_taps):
         "spurs_at_output": [
             {"f_hz": f, "dbc": 20.0 * np.log10(a) if a > 0 else None}
             for f, a in tones_rf if a < 1.0],
-        "envelope_fit": _try_fit(analytic_envelope(rf), rf_window, "rising"),
+        "envelope_fit": _try_fit(analytic_envelope(_gate_span(rf, gate)),
+                                 rf_window, "rising"),
     }
 
     x_peak = eom.drive_scale * float(np.max(np.abs(rf.samples.real))) / eom.v_pi

@@ -339,6 +339,8 @@ def fit_exponential(w: Waveform, window, direction) -> FitResult:
         raise ValidationError("direction must be 'rising' or 'falling'")
     sign = 1.0 if direction == "rising" else -1.0
     t_a, t_b = float(window[0]), float(window[1])
+    if not (np.isfinite(t_a) and np.isfinite(t_b)):
+        raise ValidationError(f"fit window ({t_a}, {t_b}) s must be finite")
     g = w.grid
     if t_a < g.t_start - _TIME_EPS * g.dt or t_b > g.t_end + _TIME_EPS * g.dt:
         raise ValidationError("fit window extends outside the sampled grid")

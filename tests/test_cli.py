@@ -91,6 +91,17 @@ def test_fit_bad_window_exit_1(tmp_path):
                  "--direction", "rising"]) == 1
 
 
+@pytest.mark.parametrize("window", ["nan,5e-8", "0,inf", "-inf,5e-8"])
+def test_fit_non_finite_window_exit_1(tmp_path, capsys, window):
+    grid = TimeGrid(0.0, 0.1e-9, 1001)
+    trace = tmp_path / "t.csv"
+    write_trace(trace, Waveform(grid=grid, samples=np.exp(grid.times() / 27e-9)))
+    assert main(["fit", str(trace), f"--window={window}",
+                 "--direction", "rising"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: fit window") and "finite" in err
+
+
 def test_sweep_command(cfg_file, tmp_path, capsys):
     out = tmp_path / "sw"
     rc = main(["sweep", cfg_file, "--param", "circuit.v_in_v",
@@ -109,6 +120,20 @@ def test_excite_from_chain(cfg_file, capsys):
     rc = main(["excite", cfg_file])
     assert rc == 0
     assert "p_max" in capsys.readouterr().out
+
+
+def test_excite_refuses_disabled_atom_before_running(tmp_path, capsys,
+                                                     monkeypatch):
+    p = tmp_path / "no_atom.ini"
+    p.write_text("[atom]\nrun_excitation = false\n")
+
+    def no_run(*args):
+        raise AssertionError("run_chain called for a refused excite")
+
+    monkeypatch.setattr("pulsechain.cli.run_chain", no_run)
+    assert main(["excite", str(p)]) == 1
+    assert capsys.readouterr().err == (
+        "error: config disables [atom] run_excitation and no --pulse given\n")
 
 
 def test_excite_with_pulse_file(cfg_file, tmp_path, capsys):

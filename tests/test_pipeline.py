@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from pulsechain import (EtalonStack, GatePulse, RunReport, ValidationError,
-                        default_config, fit_trace, parse_config, pipeline,
-                        read_trace, run_chain, set_config_value,
+                        Waveform, default_config, fit_trace, parse_config,
+                        pipeline, read_trace, run_chain, set_config_value,
                         stack_extinction_db, sweep, valid_parameter_paths)
 from pulsechain.cli import main
+
+import golden_cases
 
 
 def read_bytes(path):
@@ -269,6 +271,48 @@ class TestMemory:
             tracemalloc.stop()
         assert cold_peak <= 8 * 16 * n
         assert warm_peak + 16 * n <= 8 * 16 * n
+
+
+class TestRfFitOverTheGate:
+    """``rf.envelope_fit`` reads the analytic signal over the gate and
+    ``pipeline._HILBERT_MARGIN_S`` on each side only."""
+
+    def test_fit_does_not_depend_on_grid_length(self):
+        # both grids hold the gate and its margins
+        fits = [run_chain(parse_config(f"[grid]\nn_samples = {n}\n"))
+                .data["rf"]["envelope_fit"] for n in (100_000, 200_000)]
+        assert fits[0]["tau_s"] is not None
+        assert fits[0] == fits[1]
+
+    def test_default_grid_rf_block_is_golden(self, report):
+        # at 1e4 samples the span is the whole grid: the drive itself
+        cfg = default_config()
+        w = Waveform(grid=cfg.grid, samples=np.zeros(cfg.grid.n_samples))
+        assert pipeline._gate_span(w, cfg.gate) is w
+        stored, meta = golden_cases.load()
+        if np.__version__ != meta["numpy_version"]:
+            pytest.skip("golden bytes need the numpy that wrote them")
+        assert report["rf"] == json.loads(stored["default_report.json"])["rf"]
+
+    # the gate at the grid's start, and the gate ending on the grid's end
+    @pytest.mark.parametrize("n, gate_on_ns", [(20_000, 0.0), (18_001, 1050.0)])
+    def test_gate_at_the_grid_edge_clamps_the_span(self, n, gate_on_ns):
+        cfg = parse_config(f"[grid]\nn_samples = {n}\n"
+                           f"[circuit]\ngate_on_ns = {gate_on_ns}\n")
+        g, gate, margin = cfg.grid, cfg.gate, pipeline._HILBERT_MARGIN_S
+        w = Waveform(grid=g, samples=np.arange(n, dtype=float))
+        span = pipeline._gate_span(w, gate)
+        lo = round((span.grid.t_start - g.t_start) / g.dt)
+        assert span.grid.n_samples < n and span.grid.dt == g.dt
+        assert span.grid.t_start == pytest.approx(
+            max(g.t_start, gate.t_on - margin), abs=0.5 * g.dt)
+        assert span.grid.t_end == pytest.approx(
+            min(g.t_end, gate.t_off + margin), abs=0.5 * g.dt)
+        np.testing.assert_array_equal(
+            span.samples, w.samples[lo:lo + span.grid.n_samples])
+        data = run_chain(cfg).data
+        assert data["rf"]["envelope_fit"]["tau_s"] == pytest.approx(
+            data["envelope"]["tau_design_s"], rel=0.02)
 
 
 def _outcome(cfg, outdir=None):

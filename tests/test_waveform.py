@@ -397,6 +397,14 @@ class TestFitExponential:
         with pytest.raises(ValidationError):
             fit_exponential(w, (0.0, 80e-9), "sideways")
 
+    @pytest.mark.parametrize("window", [(np.nan, 50e-9), (0.0, np.inf),
+                                        (-np.inf, 50e-9), (np.nan, np.nan)])
+    def test_non_finite_window_is_refused(self, window):
+        g = TimeGrid(0.0, 0.1e-9, 1001)
+        w = Waveform(grid=g, samples=np.exp(g.times() / 27e-9))
+        with pytest.raises(ValidationError, match="fit window .* finite"):
+            fit_exponential(w, window, "rising")
+
 
 class TestAnalyticEnvelope:
     def test_tone_burst_envelope(self):

@@ -4,20 +4,24 @@ benchmark against a parent checkout; print the record or append it to
 ``BENCH_chain.json``.
 
     python3 tools/bench_matrix.py [--reps N] [--parent DIR --pairs K
-                                   --seconds S] [--append FILE]
+                                   --seconds S --workloads A,B]
+                                  [--append FILE]
 
 The matrix runs ``run_chain`` at 1e4, 1e5 and 1e6 samples (jitter on), with
 and without trace files, cold (the front-end memo cleared before each run)
 and warm (the memo filled by an untimed run, the seed changed per run).
 Each cell runs in its own single-threaded process, so its ``ru_maxrss_mb``
 is that cell's high-water mark; times are best-of-N with the median and the
-largest, and ``tracemalloc_peak_mb`` is one more run's peak above the
-memory live before it.
+largest, ``minflt_per_run`` is the median count of minor page faults a
+timed run takes (``ru_minflt``), and ``tracemalloc_peak_mb`` is one more
+run's peak above the memory live before it.
 
-With ``--parent``, ``chainbench/run.py`` runs every workload in the parent
-checkout and in this one, alternately, ``--pairs`` times each, and the
-record gets the median and [q1, q3] of ``op_p50_s`` and ``peak_rss_mb`` on
-both sides.  Run it from a copy whose directory sits beside the parent's
+With ``--parent``, ``chainbench/run.py`` runs every workload (or those
+given by ``--workloads``) in the parent checkout and in this one,
+alternately, ``--pairs`` times each, and the record gets the median and
+[q1, q3] of ``setup_s``, ``op_p50_s``, ``peak_rss_mb`` and ``ok_frac`` on
+both sides, with the raw (unscaled) ``raw_op_p50_s`` and the host-speed
+block time ``host_block_s`` from each run's provenance line.  Run it from a copy whose directory sits beside the parent's
 and has a name of the same length: the benchmark's host-speed block
 depends on the heap layout, which the path moves.
 """
@@ -38,6 +42,8 @@ import tracemalloc
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = (10_000, 100_000, 1_000_000)
 WORKLOADS = ("chain_1m", "sweep_small", "simulate_traces", "atom_shapes")
+METRICS = ("setup_s", "op_p50_s", "peak_rss_mb", "ok_frac")
+PROVENANCE = ("raw_op_p50_s", "host_block_s")   # read off each run's record
 SINGLE_THREAD = {name: "1" for name in (
     "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")}
@@ -57,16 +63,18 @@ def _cell(n, traces, mode, reps):
             if mode == "cold":
                 pipeline._front_end.cache_clear()
             outdir = os.path.join(scratch, str(seed)) if traces else None
+            flt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             t0 = time.perf_counter()
             pipeline.run_chain(config(seed), outdir)
             elapsed = time.perf_counter() - t0
+            flt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt
             if outdir:
                 shutil.rmtree(outdir)
-            return elapsed
+            return elapsed, flt
 
         if mode == "warm":
             run(0)
-        times = [run(seed) for seed in range(1, reps + 1)]
+        times, faults = zip(*(run(seed) for seed in range(1, reps + 1)))
         maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         tracemalloc.start()
         run(reps + 1)
@@ -76,7 +84,8 @@ def _cell(n, traces, mode, reps):
         shutil.rmtree(scratch, ignore_errors=True)
     return {"n_samples": n, "traces": traces, "mode": mode, "reps": reps,
             "best_s": min(times), "median_s": statistics.median(times),
-            "max_s": max(times), "tracemalloc_peak_mb": peak / 1e6,
+            "max_s": max(times), "minflt_per_run": statistics.median(faults),
+            "tracemalloc_peak_mb": peak / 1e6,
             "ru_maxrss_mb": maxrss * 1024 / 1e6}
 
 
@@ -107,18 +116,23 @@ def _chainbench(root, workload, seed, seconds):
         [sys.executable, os.path.join("chainbench", "run.py"), "--workload",
          workload, "--seed", str(seed), "--seconds", str(seconds)],
         cwd=root, stdout=subprocess.PIPE, text=True, check=True)
-    result = json.loads(proc.stdout.splitlines()[-1])
-    return {k: v["value"] for k, v in result["metrics"].items()}
+    lines = proc.stdout.splitlines()
+    run = {k: v["value"] for k, v in json.loads(lines[-1])["metrics"].items()}
+    prov = json.loads(next(line for line in lines
+                           if line.startswith("provenance "))[11:])
+    run.update({k: prov[k] for k in PROVENANCE})
+    return run
 
 
 def _spread(values):
-    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, med, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                   if len(values) > 1 else values * 3)
     return {"median": med, "q1_q3": [q1, q3], "runs": values}
 
 
-def pairs(parent, n_pairs, seconds):
+def pairs(parent, n_pairs, seconds, workloads=WORKLOADS):
     out = {}
-    for workload in WORKLOADS:
+    for workload in workloads:
         sides = {"parent": [], "change": []}
         for i in range(n_pairs):
             order = (("parent", parent), ("change", ROOT))
@@ -128,7 +142,7 @@ def pairs(parent, n_pairs, seconds):
                       file=sys.stderr)
         out[workload] = {
             side: {metric: _spread([run[metric] for run in runs])
-                   for metric in ("op_p50_s", "peak_rss_mb", "ok_frac")}
+                   for metric in METRICS + PROVENANCE}
             for side, runs in sides.items()}
     return out
 
@@ -160,6 +174,8 @@ def main():
     ap.add_argument("--parent", help="checkout of the parent commit")
     ap.add_argument("--pairs", type=int, default=5)
     ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--workloads", default=",".join(WORKLOADS),
+                    help="comma-separated workloads for --parent")
     ap.add_argument("--append", help="JSON list to append the record to")
     ap.add_argument("--cell", nargs=4, help=argparse.SUPPRESS)
     args = ap.parse_args()
@@ -183,7 +199,8 @@ def main():
         record["chainbench"] = {"seconds": args.seconds,
                                 "pairs": args.pairs,
                                 "workloads": pairs(args.parent, args.pairs,
-                                                   args.seconds)}
+                                                   args.seconds,
+                                                   args.workloads.split(","))}
     if args.append:
         entries = []
         if os.path.exists(args.append):

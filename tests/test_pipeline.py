@@ -12,8 +12,6 @@ from pulsechain import (EtalonStack, GatePulse, RunReport, ValidationError,
                         stack_extinction_db, sweep, valid_parameter_paths)
 from pulsechain.cli import main
 
-import golden_cases
-
 
 def read_bytes(path):
     with open(path, "rb") as fh:
@@ -284,15 +282,12 @@ class TestRfFitOverTheGate:
         assert fits[0]["tau_s"] is not None
         assert fits[0] == fits[1]
 
-    def test_default_grid_rf_block_is_golden(self, report):
-        # at 1e4 samples the span is the whole grid: the drive itself
+    def test_span_over_the_whole_grid_is_the_drive(self):
+        # at 1e4 samples the span is the whole grid: the fit reads the drive
+        # itself, as golden Test B's default report expects
         cfg = default_config()
         w = Waveform(grid=cfg.grid, samples=np.zeros(cfg.grid.n_samples))
         assert pipeline._gate_span(w, cfg.gate) is w
-        stored, meta = golden_cases.load()
-        if np.__version__ != meta["numpy_version"]:
-            pytest.skip("golden bytes need the numpy that wrote them")
-        assert report["rf"] == json.loads(stored["default_report.json"])["rf"]
 
     # the gate at the grid's start, and the gate ending on the grid's end
     @pytest.mark.parametrize("n, gate_on_ns", [(20_000, 0.0), (18_001, 1050.0)])

@@ -4,8 +4,7 @@ benchmark against a parent checkout; print the record or append it to
 ``BENCH_chain.json``.
 
     python3 tools/bench_matrix.py [--reps N] [--parent DIR --pairs K
-                                   --seconds S --workloads A,B]
-                                  [--append FILE]
+                                   --seconds S] [--append FILE]
 
 The matrix runs ``run_chain`` at 1e4, 1e5 and 1e6 samples (jitter on), with
 and without trace files, cold (the front-end memo cleared before each run)
@@ -16,14 +15,17 @@ largest, ``minflt_per_run`` is the median count of minor page faults a
 timed run takes (``ru_minflt``), and ``tracemalloc_peak_mb`` is one more
 run's peak above the memory live before it.
 
-With ``--parent``, ``chainbench/run.py`` runs every workload (or those
-given by ``--workloads``) in the parent checkout and in this one,
-alternately, ``--pairs`` times each, and the record gets the median and
-[q1, q3] of ``setup_s``, ``op_p50_s``, ``peak_rss_mb`` and ``ok_frac`` on
-both sides, with the raw (unscaled) ``raw_op_p50_s`` and the host-speed
-block time ``host_block_s`` from each run's provenance line.  Run it from a copy whose directory sits beside the parent's
-and has a name of the same length: the benchmark's host-speed block
-depends on the heap layout, which the path moves.
+With ``--parent``, ``chainbench/run.py`` runs every workload in the parent
+checkout and in this one, alternately, ``--pairs`` times each, and the
+record gets the median and [q1, q3] of each end-to-end metric on both
+sides, with the raw (unscaled) ``raw_op_p50_s`` and the host-speed block
+time ``host_block_s`` from each run's provenance line.  The cold 1e6 cell
+and the warm 1e6 and 1e4 cells run the same way, each side's ``src/``
+under this script, and the record's ``alternated_cells`` gets the spread
+of their ``best_s`` and ``minflt_per_run``.  Run it from a copy whose
+directory sits beside the parent's and has a name of the same length: the
+benchmark's host-speed block and the cells' minor faults depend on the heap
+layout, which the path moves.
 """
 
 import argparse
@@ -42,8 +44,11 @@ import tracemalloc
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = (10_000, 100_000, 1_000_000)
 WORKLOADS = ("chain_1m", "sweep_small", "simulate_traces", "atom_shapes")
-METRICS = ("setup_s", "op_p50_s", "peak_rss_mb", "ok_frac")
+METRICS = ("setup_s", "op_p50_s", "op_p90_s", "msamples_per_s", "ok_frac",
+           "peak_rss_mb")                  # the end-to-end metrics
 PROVENANCE = ("raw_op_p50_s", "host_block_s")   # read off each run's record
+ALTERNATED = ((1_000_000, "cold", 5), (1_000_000, "warm", 8),
+              (10_000, "warm", 40))                # (n, mode, reps)
 SINGLE_THREAD = {name: "1" for name in (
     "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")}
@@ -95,18 +100,22 @@ def _child_env(root):
     return env
 
 
+def _run_cell(root, n, traces, mode, reps):
+    """One cell of the checkout at ``root``, in a fresh process."""
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--cell", str(n),
+         str(int(traces)), mode, str(reps)],
+        env=_child_env(root), stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def matrix(reps):
     cells = []
     for n in SIZES:
         for traces in (False, True):
             for mode in ("cold", "warm"):
                 r = reps if n < 1_000_000 or not traces else max(1, reps // 2)
-                proc = subprocess.run(
-                    [sys.executable, os.path.abspath(__file__), "--cell",
-                     str(n), str(int(traces)), mode, str(r)],
-                    env=_child_env(ROOT), stdout=subprocess.PIPE, text=True,
-                    check=True)
-                cells.append(json.loads(proc.stdout.splitlines()[-1]))
+                cells.append(_run_cell(ROOT, n, traces, mode, r))
                 print(json.dumps(cells[-1]), file=sys.stderr)
     return cells
 
@@ -125,26 +134,38 @@ def _chainbench(root, workload, seed, seconds):
 
 
 def _spread(values):
-    q1, med, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-                   if len(values) > 1 else values * 3)
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": med, "q1_q3": [q1, q3], "runs": values}
 
 
-def pairs(parent, n_pairs, seconds, workloads=WORKLOADS):
-    out = {}
-    for workload in workloads:
-        sides = {"parent": [], "change": []}
-        for i in range(n_pairs):
-            order = (("parent", parent), ("change", ROOT))
-            for side, root in order if i % 2 == 0 else order[::-1]:
-                sides[side].append(_chainbench(root, workload, i, seconds))
-                print(workload, side, json.dumps(sides[side][-1]),
-                      file=sys.stderr)
-        out[workload] = {
-            side: {metric: _spread([run[metric] for run in runs])
-                   for metric in METRICS + PROVENANCE}
+def _alternate(label, parent, n_pairs, measure, keys):
+    """``measure(root, i)`` in the parent and in this checkout, ``n_pairs``
+    times each, alternating which side runs first; the spread of each
+    side's ``keys``."""
+    sides = {"parent": [], "change": []}
+    for i in range(n_pairs):
+        order = (("parent", parent), ("change", ROOT))
+        for side, root in order if i % 2 == 0 else order[::-1]:
+            sides[side].append(measure(root, i))
+            print(label, side, json.dumps(sides[side][-1]), file=sys.stderr)
+    return {side: {key: _spread([run[key] for run in runs]) for key in keys}
             for side, runs in sides.items()}
-    return out
+
+
+def pairs(parent, n_pairs, seconds):
+    return {workload: _alternate(
+                workload, parent, n_pairs,
+                lambda root, i: _chainbench(root, workload, i, seconds),
+                METRICS + PROVENANCE)
+            for workload in WORKLOADS}
+
+
+def alternated_cells(parent, n_pairs):
+    return [{"n_samples": n, "mode": mode, "reps": reps, **_alternate(
+                f"{mode} {n}", parent, n_pairs,
+                lambda root, i: _run_cell(root, n, False, mode, reps),
+                ("best_s", "minflt_per_run"))}
+            for n, mode, reps in ALTERNATED]
 
 
 def _git_sha(root):
@@ -174,11 +195,11 @@ def main():
     ap.add_argument("--parent", help="checkout of the parent commit")
     ap.add_argument("--pairs", type=int, default=5)
     ap.add_argument("--seconds", type=float, default=20.0)
-    ap.add_argument("--workloads", default=",".join(WORKLOADS),
-                    help="comma-separated workloads for --parent")
     ap.add_argument("--append", help="JSON list to append the record to")
     ap.add_argument("--cell", nargs=4, help=argparse.SUPPRESS)
     args = ap.parse_args()
+    if args.parent and args.pairs < 2:
+        ap.error("--pairs must be at least 2 for a spread")
     if args.cell:
         n, traces, mode, reps = args.cell
         print(json.dumps(_cell(int(n), traces == "1", mode, int(reps))))
@@ -199,8 +220,10 @@ def main():
         record["chainbench"] = {"seconds": args.seconds,
                                 "pairs": args.pairs,
                                 "workloads": pairs(args.parent, args.pairs,
-                                                   args.seconds,
-                                                   args.workloads.split(","))}
+                                                   args.seconds)}
+        record["alternated_cells"] = {
+            "pairs": args.pairs,
+            "cells": alternated_cells(args.parent, args.pairs)}
     if args.append:
         entries = []
         if os.path.exists(args.append):

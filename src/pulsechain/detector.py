@@ -6,13 +6,12 @@ low-passes of their nominal bandwidths (None or inf disables a pole),
 applied together as one product response.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .waveform import Waveform, _filter_real, one_pole_lowpass
+from .waveform import Waveform, _filter_real
 
 
 @dataclass(frozen=True)
@@ -42,13 +41,26 @@ def detect(field: Waveform, d: DetectorParams) -> Waveform:
     power = np.abs(field.samples)
     np.square(power, out=power)
     np.multiply(d.responsivity, power, out=power)
-    poles = [one_pole_lowpass(bw) for bw in (d.bandwidth_hz, d.scope_bandwidth_hz)
-             if bw is not None and np.isfinite(bw)]
-    if poles:
-        _filter_real(power, field.grid.dt,
-                     lambda f: math.prod(p(f) for p in poles), out=power)
+    bws = [bw for bw in (d.bandwidth_hz, d.scope_bandwidth_hz)
+           if bw is not None and np.isfinite(bw)]
+    if bws:
+        _filter_real(power, field.grid.dt, lambda f: _pole_product(f, bws),
+                     out=power)
     power.flags.writeable = False
     return Waveform(grid=field.grid, samples=power, unit="V")
+
+
+def _pole_product(f, bandwidths):
+    """``math.prod`` of the one-pole responses 1 / (1 + i f/bw), built in
+    place by the same operations, in the same order."""
+    h = None
+    for bw in bandwidths:
+        p = np.multiply(1j, f)
+        p /= bw
+        p += 1.0
+        np.divide(1.0, p, out=p)
+        h = p if h is None else np.multiply(h, p, out=h)
+    return h
 
 
 def undershoot_fraction(detected: Waveform):

@@ -7,6 +7,7 @@ uses the frequency-domain response, so the cutoff ringdown emerges from the
 same model that sets the line width.
 """
 
+import bisect
 import warnings
 from dataclasses import dataclass, replace
 
@@ -83,37 +84,59 @@ def airy_transmission(f_offset, e: EtalonParams):
 _BLOCK = 16  # stages per division in stack_transmission
 
 
+def _phasor(f, fsr_hz):
+    """``np.exp(-1j * np.pi / fsr_hz * f)``; over an array, bit for bit as
+    its cosine and sine at ~0.6 of the cost (the exponential's phase is
+    +0 + (-pi/FSR) f: the + 0.0 gives the DC bin's sine as +0, not -0)."""
+    if f.ndim == 0:
+        return np.exp(-1j * np.pi / fsr_hz * f)
+    phase = np.multiply(-np.pi / fsr_hz, f)
+    phase += 0.0
+    half = np.empty(f.shape, complex)
+    np.cos(phase, out=half.real)
+    np.sin(phase, out=half.imag)
+    return half
+
+
 def stack_transmission(f_offset, s: EtalonStack):
     """Product of the per-stage amplitude transmissions.
 
     A stage's e^{-i delta/2} is e^{-i pi f/FSR} e^{-i pi detuning/FSR}: one
-    complex exponential over the frequencies per distinct FSR, times a scalar
-    per stage.  The numerators (1-R) e^{-i delta/2} and the denominators
-    1 - R(1-loss) e^{-i delta} accumulate as two products, divided once per
-    block of at most ``_BLOCK`` stages: every factor lies between
-    1-R >= 2^-53 and 2 in magnitude, so a block product neither underflows
-    nor overflows.
+    phasor over the frequencies per distinct FSR (:func:`_phasor`), times a
+    scalar per stage.  The numerators (1-R) e^{-i delta/2} and the
+    denominators 1 - R(1-loss) e^{-i delta} accumulate as two products,
+    divided once per block of at most ``_BLOCK`` stages: every factor lies
+    between 1-R >= 2^-53 and 2 in magnitude, so a block product neither
+    underflows nor overflows.
     """
     f = np.asarray(f_offset, dtype=float)
     phasors = {}  # FSR -> (e^{-i pi f/FSR}, its square)
+    scratch = None if f.ndim == 0 else np.empty(f.shape, complex)
     t = None
     for lo in range(0, len(s.stages), _BLOCK):
-        gain = 1.0
-        num, den = np.ones(f.shape, complex), np.ones(f.shape, complex)
+        gain, num, den = 1.0, None, None
         for e in s.stages[lo:lo + _BLOCK]:
             if e.fsr_hz not in phasors:
-                half = np.exp(-1j * np.pi / e.fsr_hz * f)
+                half = _phasor(f, e.fsr_hz)
                 phasors[e.fsr_hz] = half, half * half
             half, full = phasors[e.fsr_hz]
             c = np.exp(-1j * np.pi * e.detuning_hz / e.fsr_hz)
             gain *= (1.0 - e.reflectivity) * c
+            rho = e.reflectivity * (1.0 - e.loss)
+            if scratch is None:  # numpy scalars round unlike 0-d arrays
+                term = 1.0 - rho * c * c * full
+            else:
+                term = np.multiply(rho * c * c, full, out=scratch)
+                np.subtract(1.0, term, out=term)
             # in place, operands in a fixed order: an expression like
             # den * (...) lets numpy reuse the right-hand temporary for
             # arrays of 256 KiB and more, commuting the complex product and
-            # so its last bit, which would then depend on the array length
-            np.multiply(num, half, out=num)
-            rho = e.reflectivity * (1.0 - e.loss)
-            np.multiply(den, 1.0 - rho * c * c * full, out=den)
+            # so its last bit; a block starts at its first factor (1*x = x)
+            if num is None:
+                num, den = np.array(half), np.array(term)
+            else:
+                np.multiply(num, half, out=num)
+                np.multiply(den, term, out=den)
         np.multiply(gain, num, out=num)
         np.divide(num, den, out=num)
         t = num if t is None else np.multiply(t, num, out=t)
@@ -201,6 +224,31 @@ def _fft_frequencies(lo, hi, n, dt):
     return k * (1.0 / (n * dt))
 
 
+def _outside_fraction(power, df, i_peak, half_fsr):
+    """Fraction of the total ``power`` (FFT order, bins ``df`` apart) more
+    than ``half_fsr`` from bin ``i_peak``, frequencies built as
+    :func:`_fft_frequencies` builds them; 0 for a total of 0.  The inside is
+    one range of signed bins, found by bisection, so no mask is made."""
+    total = power.sum()
+    if not total > 0:
+        return 0.0
+    n = len(power)
+    k_min, k_max = -(n // 2), (n - 1) // 2
+    k_peak = i_peak - n if i_peak > k_max else i_peak
+    f_peak = k_peak * df
+
+    def inside(k):
+        return abs(k * df - f_peak) <= half_fsr
+
+    # first inside bin below the peak, first outside bin above it
+    lo = k_min + bisect.bisect(range(k_min, k_peak), False, key=inside)
+    end = k_peak + bisect.bisect(range(k_peak, k_max + 1), False,
+                                 key=lambda k: not inside(k))
+    a, b = lo % n, end % n  # the inside is [a, b), or wraps past n - 1
+    outside = power[:a].sum() + power[b:].sum() if a < b else power[b:a].sum()
+    return float(outside / total)
+
+
 def _filter_spectrum(amps, grid, unit, s: EtalonStack, pre_gain=None, out=None):
     """:func:`filter_pulse` on ``amps``, the normalized DFT
     (:func:`~pulsechain.waveform._forward`) of a field on ``grid``.
@@ -208,43 +256,40 @@ def _filter_spectrum(amps, grid, unit, s: EtalonStack, pre_gain=None, out=None):
     The filtered spectrum is written to ``out``, a new array by default, and
     transformed back in place, so ``amps`` is only read unless it is ``out``
     itself: a shared, read-only spectrum can be filtered again with another
-    stack.  The frequencies, gains and leak mask are built in blocks of
-    ``_BINS`` bins, so beside ``out`` the pass holds only the spectral
-    power, the mask and O(block) temporaries.
+    stack.  One pass over blocks of ``_BINS`` bins forms each block's gain,
+    power and peak search and writes its output, so beside ``out`` the pass
+    holds only the power and O(block) temporaries.
     """
     n = grid.n_samples
     if out is None:
         out = np.empty_like(amps)
     power = np.empty(n)
     half_fsr = s.min_fsr_hz / 2.0
-    peak = (-1.0, 0.0)  # |h| and offset of the peak nearest the sideband
+    peak = (-1.0, 0)  # |h| and bin of the peak nearest the sideband
     for lo, hi in _spans(n, _BINS):
         fb = _fft_frequencies(lo, hi, n, grid.dt)
         ab, ob, pb = (x[lo:hi] for x in (amps, out, power))
         h = stack_transmission(fb, s)
         pre = 1.0 if pre_gain is None else pre_gain(fb)
+        # from a temporary: ob may be ab itself, written below
         np.square(np.abs(pre * ab, out=pb), out=pb)
         # the transmission peak nearest the sideband: with FSR below the
         # grid bandwidth, equal peaks repeat across the spectrum
-        near = np.abs(fb) <= half_fsr
-        mag = np.abs(h[near])
-        if len(mag) and mag.max() > peak[0]:
-            peak = (mag.max(), fb[near][np.argmax(mag)])
-        gain = pre * h
-        if not np.all(np.isfinite(gain)):
+        mag = np.abs(h)
+        mag[np.abs(fb) > half_fsr] = -1.0
+        k = int(np.argmax(mag))
+        if mag[k] > peak[0]:
+            peak = (mag[k], lo + k)
+        np.multiply(pre, h, out=h)
+        if not np.all(np.isfinite(h)):
             raise ValidationError("filter_pulse: the gain is not finite")
-        np.multiply(gain, ab, out=ob)
-    total = power.sum()
-    if total > 0:
-        outside = np.empty(n, dtype=bool)
-        for lo, hi in _spans(n, _BINS):
-            fb = _fft_frequencies(lo, hi, n, grid.dt)
-            np.greater(np.abs(fb - peak[1]), half_fsr, out=outside[lo:hi])
-        outside_frac = float(power[outside].sum() / total)
-        if outside_frac > 0.01:
-            warnings.warn(
-                f"{outside_frac:.1%} of pulse energy lies beyond +-FSR/2 of "
-                f"the cascade transmission peak", LeakageWarning, stacklevel=3)
+        np.multiply(h, ab, out=ob)
+    outside_frac = _outside_fraction(power, 1.0 / (n * grid.dt), peak[1],
+                                     half_fsr)
+    if outside_frac > 0.01:
+        warnings.warn(
+            f"{outside_frac:.1%} of pulse energy lies beyond +-FSR/2 of "
+            f"the cascade transmission peak", LeakageWarning, stacklevel=3)
     del power  # before the inverse transform allocates its scratch space
     return _inverse(out, grid, unit, overwrite=True)
 
@@ -255,9 +300,11 @@ def stage_diagnostics(s: EtalonStack, carrier_offset_hz):
     A stage whose line has no half-power width (see :func:`finesse`) reports
     ``fwhm_hz`` and ``finesse`` as None with the reason in ``fwhm_error``.
     """
-    per_stage = []
+    per_stage, extinction_db = [], 0
     for e in s.stages:
         leak = carrier_leak(e, carrier_offset_hz)
+        db = -10.0 * np.log10(leak)
+        extinction_db += db  # stack_extinction_db's sum, in its order
         try:
             line = {"fwhm_hz": float(fwhm_hz(e)), "finesse": float(finesse(e))}
         except ValidationError as exc:
@@ -265,9 +312,9 @@ def stage_diagnostics(s: EtalonStack, carrier_offset_hz):
         per_stage.append({
             **line,
             "carrier_leak_fraction": float(leak),
-            "carrier_leak_db": float(-10.0 * np.log10(leak)),
+            "carrier_leak_db": float(db),
         })
     return {
         "per_stage": per_stage,
-        "cascade_extinction_db": float(stack_extinction_db(s, carrier_offset_hz)),
+        "cascade_extinction_db": float(extinction_db),
     }

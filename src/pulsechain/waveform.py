@@ -279,13 +279,21 @@ def _moving_average(y, width=5):
     return np.convolve(y, np.ones(width) / width, mode="valid")
 
 
+def _block_means(x, k):
+    """``[b.mean() for b in np.array_split(x, k)]``, bit for bit: the r
+    blocks of q + 1 and the k - r of q as two row sums (the pairwise sums
+    that ``mean`` takes), not k calls."""
+    q, r = divmod(len(x), k)
+    c = r * (q + 1)
+    return np.concatenate((x[:c].reshape(r, q + 1).sum(axis=1) / (q + 1),
+                           x[c:].reshape(k - r, q).sum(axis=1) / q))
+
+
 def _check_trend(y, sign):
     """Monotone-trend precondition: strictly monotone block means of the
     5-point moving average (the smoothing is used only for this check)."""
     sm = _moving_average(y, 5)
-    n_blocks = max(2, min(16, len(sm) // 8))
-    blocks = np.array_split(sm, n_blocks)
-    means = np.array([b.mean() for b in blocks])
+    means = _block_means(sm, max(2, min(16, len(sm) // 8)))
     scale = np.max(np.abs(y))
     if scale <= 0 or (means.max() - means.min()) < 1e-3 * scale:
         raise FitError("fit rejected: data is near-constant over the window")

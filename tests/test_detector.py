@@ -6,6 +6,7 @@ import pytest
 from pulsechain import (DetectorParams, EtalonStack, TimeGrid, ValidationError,
                         Waveform, detect, filter_pulse, fit_exponential,
                         one_pole_lowpass, undershoot_fraction)
+from pulsechain.detector import _pole_product
 from spectral_oracle import apply_transfer
 
 GRID = TimeGrid(0.0, 0.1e-9, 10000)
@@ -100,6 +101,14 @@ def detect_reference(field, d):
     if poles:
         out = apply_transfer(out, lambda f: math.prod(p(f) for p in poles))
     return out.samples.real
+
+
+@pytest.mark.parametrize("bandwidths", [[1e9, 2e9], [3e9], [2e9, 1e9]])
+def test_pole_product_is_the_product_of_poles(bandwidths):
+    # built in place, bit for bit the product detect took of the poles
+    f = np.fft.rfftfreq(10001, 0.1e-9)
+    ref = math.prod(one_pole_lowpass(bw)(f) for bw in bandwidths)
+    assert _pole_product(f, bandwidths).tobytes() == ref.tobytes()
 
 
 class TestRealTransformOracle:

@@ -12,9 +12,12 @@ from pulsechain import (EtalonParams, EtalonStack, LeakageWarning, TimeGrid,
                         stage_diagnostics, temperature_to_frequency,
                         with_thermal_jitter)
 from pulsechain.eom import sideband_window
-from pulsechain.etalon import _BINS
+from pulsechain import pipeline
+from pulsechain.etalon import _BINS, _outside_fraction, _phasor
 from pulsechain.waveform import to_spectrum
 from spectral_oracle import filter_spectrum
+
+import golden_cases
 
 GRID = TimeGrid(0.0, 0.1e-9, 10000)
 
@@ -405,3 +408,69 @@ class TestBlockedGainOracle:
         with pytest.raises(ValidationError, match="not finite"):
             filter_pulse(w, EtalonStack.identical(3),
                          pre_gain=lambda f: np.where(f < -4e9, np.nan, 1.0))
+
+
+def reference_outside(f, h, power, min_fsr_hz):
+    """filter_pulse_reference's leak accounting: the peak bin and the
+    fraction of the power outside its mask."""
+    near = np.flatnonzero(np.abs(f) <= min_fsr_hz / 2.0)
+    i_peak = near[int(np.argmax(np.abs(h[near])))]
+    inside = np.abs(f - f[i_peak]) <= min_fsr_hz / 2.0
+    return i_peak, float(power[~inside].sum() / power.sum())
+
+
+class TestLeakAccounting:
+    """The outside fraction from slices of the power, against the whole
+    mask; a power of order one in every bin makes a bin moved across the
+    mask edge show as 1/n."""
+
+    @pytest.mark.parametrize("n", [1000, 1001, 3 * _BINS + 7, 3 * _BINS + 8])
+    @pytest.mark.parametrize("stack", [
+        # detuned by 1.3 GHz: the peak sits at a negative offset, in the
+        # last block
+        EtalonStack(stages=(EtalonParams(fsr_hz=4e9, detuning_hz=1.3e9),)),
+        # the peak at 0: the inside crosses the FFT wrap from bin n-1 to 0
+        EtalonStack(stages=(EtalonParams(fsr_hz=4e9),)),
+        EtalonStack(stages=(EtalonParams(fsr_hz=3e9, detuning_hz=-0.4e9),
+                            EtalonParams(fsr_hz=5e9))),
+    ], ids=["negative_peak", "across_wrap", "positive_peak"])
+    def test_matches_the_mask(self, n, stack):
+        f = np.fft.fftfreq(n, GRID.dt)
+        h = stack_transmission(f, stack)
+        power = np.random.default_rng(n).random(n) + 0.5
+        i_peak, ref = reference_outside(f, h, power, stack.min_fsr_hz)
+        got = _outside_fraction(power, 1.0 / (n * GRID.dt), i_peak,
+                                stack.min_fsr_hz / 2.0)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0)
+        assert 0.0 < ref < 1.0
+
+    def test_fsr_100_mhz_default_run(self):
+        # [etalon] fsr_ghz = 0.1 on the default run's sideband: 4.4% leaks
+        cfg = parse_config("[etalon]\nfsr_ghz = 0.1\n")
+        fe = pipeline._front_end(cfg.circuit, cfg.gate, cfg.grid, cfg.dds,
+                                 cfg.bandpass, cfg.mixer, cfg.eom, False)
+        n = cfg.grid.n_samples
+        f = np.fft.fftfreq(n, cfg.grid.dt)
+        power = np.abs(sideband_window(fe.f_s)(f) * fe.sideband) ** 2
+        h = stack_transmission(f, cfg.etalon)
+        i_peak, ref = reference_outside(f, h, power, cfg.etalon.min_fsr_hz)
+        got = _outside_fraction(power, 1.0 / (n * cfg.grid.dt), i_peak,
+                                cfg.etalon.min_fsr_hz / 2.0)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0)
+        assert f"{got:.1%}" == "4.4%"
+
+    def test_total_of_zero(self):
+        assert _outside_fraction(np.zeros(1001), 1e7, 3, 2e9) == 0.0
+
+
+@pytest.mark.skipif(
+    np.__version__ != golden_cases.load()[1]["numpy_version"],
+    reason="sin, cos and exp last bits depend on the numpy build; pinned "
+           "under the numpy version that wrote tests/golden/")
+@pytest.mark.parametrize("fsr_hz", [17e9, 0.1e9])
+def test_phasor_is_the_exponential(fsr_hz):
+    # the 1e6-bin grid at the default step: phases up to 0.92 rad at 17 GHz
+    # and 157 rad at 0.1 GHz
+    f = np.fft.fftfreq(1_000_000, GRID.dt)
+    ref = np.exp(-1j * np.pi / fsr_hz * f)
+    assert _phasor(f, fsr_hz).tobytes() == ref.tobytes()

@@ -387,6 +387,16 @@ class TestFitExponential:
         with pytest.raises(FitError):
             fit_exponential(w, (0.0, 100e-9), "rising")
 
+    def test_block_means_equal_array_split_means(self):
+        # the trend check's block means, bit for bit, at every smoothed
+        # length the fit can see (16 samples and up), remainders included
+        sm = np.random.default_rng(11).standard_normal(5000).cumsum()
+        for n in range(16, 5001):
+            k = max(2, min(16, n // 8))
+            ref = np.array([b.mean() for b in np.array_split(sm[:n], k)])
+            got = waveform._block_means(sm[:n], k)
+            assert got.tobytes() == ref.tobytes(), n
+
     def test_window_validation(self):
         g = TimeGrid(0.0, 0.1e-9, 1001)
         w = Waveform(grid=g, samples=np.exp(g.times() / 27e-9))

@@ -22,14 +22,21 @@ sides, with the raw (unscaled) ``raw_op_p50_s`` and the host-speed block
 time ``host_block_s`` from each run's provenance line.  The cold 1e6 cell
 and the warm 1e6 and 1e4 cells run the same way, each side's ``src/``
 under this script, and the record's ``alternated_cells`` gets the spread
-of their ``best_s`` and ``minflt_per_run``.  Run it from a copy whose
-directory sits beside the parent's and has a name of the same length: the
-benchmark's host-speed block and the cells' minor faults depend on the heap
-layout, which the path moves.
+of their ``best_s`` and ``minflt_per_run``.  Last, ``paired_cells``
+imports both checkouts' ``src/pulsechain`` into this process under distinct
+package names and alternates them op by op: a warm 1e4 ``sweep`` point (as
+the benchmark's ``sweep_small`` runs one) and a warm 1e6 ``run_chain``.
+The record gets the median and [q1, q3] of the per-op ratio change/parent
+and the number of ops below 1: a difference that separate processes on a
+shared host, drifting by +-20% from one to the next, cannot resolve.  Run it from a copy whose directory sits beside
+the parent's and has a name of the same length: the benchmark's host-speed
+block and the cells' minor faults depend on the heap layout, which the path
+moves.
 """
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import resource
@@ -49,6 +56,8 @@ METRICS = ("setup_s", "op_p50_s", "op_p90_s", "msamples_per_s", "ok_frac",
 PROVENANCE = ("raw_op_p50_s", "host_block_s")   # read off each run's record
 ALTERNATED = ((1_000_000, "cold", 5), (1_000_000, "warm", 8),
               (10_000, "warm", 40))                # (n, mode, reps)
+PAIRED = ((10_000, "sweep", 400), (1_000_000, "warm", 20))  # (n, op, ops)
+FSR_RANGE_GHZ = (10.2, 28.9)                       # as sweep_small draws it
 SINGLE_THREAD = {name: "1" for name in (
     "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")}
@@ -168,6 +177,67 @@ def alternated_cells(parent, n_pairs):
             for n, mode, reps in ALTERNATED]
 
 
+def _load(root, name):
+    """The package in ``root``/src/pulsechain, imported as ``name``."""
+    pkg = os.path.join(root, "src", "pulsechain")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(pkg, "__init__.py"),
+        submodule_search_locations=[pkg])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _paired_op(pc, n, op):
+    """``timed(i)`` runs op ``i`` of a paired cell with the package ``pc``
+    and returns its time: a sweep point at an FSR spread over sweep_small's
+    range, or a run with jitter seeded by ``i``, its config parsed untimed."""
+    if op == "sweep":
+        cfg = pc.parse_config(f"[grid]\nn_samples = {n}\n")
+        lo, hi = FSR_RANGE_GHZ
+
+        def call(i):
+            value = f"{lo + (hi - lo) * (i * 0.618034 % 1):.6f}"
+            return lambda: pc.sweep(cfg, "etalon.fsr_ghz", [value])
+    else:
+        def call(i):
+            cfg = pc.parse_config(f"[grid]\nn_samples = {n}\n[etalon]\n"
+                                  f"apply_temp_jitter = true\n[run]\n"
+                                  f"seed = {i}\n")
+            return lambda: pc.run_chain(cfg)
+
+    def timed(i):
+        fn = call(i)
+        t0 = time.perf_counter()
+        fn()
+        return time.perf_counter() - t0
+    return timed
+
+
+def paired_cells(parent):
+    trees = {"parent": _load(parent, "pulsechain_parent"),
+             "change": _load(ROOT, "pulsechain_change")}
+    cells = []
+    for n, op, n_ops in PAIRED:
+        ops = {side: _paired_op(pc, n, op) for side, pc in trees.items()}
+        for timed in ops.values():
+            timed(0)  # fills the tree's front-end memo
+        times = {"parent": [], "change": []}
+        for i in range(1, n_ops + 1):
+            for side in ("parent", "change")[::1 if i % 2 else -1]:
+                times[side].append(ops[side](i))
+        ratios = [c / p for c, p in zip(times["change"], times["parent"])]
+        q1, med, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+        cells.append({"n_samples": n, "op": op, "ops": n_ops,
+                      "ratio": {"median": med, "q1_q3": [q1, q3],
+                                "below_1": sum(r < 1.0 for r in ratios)},
+                      **{f"{side}_median_s": statistics.median(t)
+                         for side, t in times.items()}})
+        print("paired", json.dumps(cells[-1]), file=sys.stderr)
+    return cells
+
+
 def _git_sha(root):
     proc = subprocess.run(["git", "-C", root, "rev-parse", "HEAD"],
                           stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
@@ -205,6 +275,7 @@ def main():
         print(json.dumps(_cell(int(n), traces == "1", mode, int(reps))))
         return 0
 
+    os.environ.update(SINGLE_THREAD)  # before numpy: paired_cells runs here
     import numpy as np
     src_sha, src_lines = _src(ROOT)
     record = {"git_sha": _git_sha(ROOT), "src_sha256": src_sha,
@@ -224,6 +295,7 @@ def main():
         record["alternated_cells"] = {
             "pairs": args.pairs,
             "cells": alternated_cells(args.parent, args.pairs)}
+        record["paired_cells"] = paired_cells(args.parent)
     if args.append:
         entries = []
         if os.path.exists(args.append):

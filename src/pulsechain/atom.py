@@ -17,7 +17,9 @@ lands on a grid sample; for this linear equation the step is a first-order
 recurrence c_{k+1} = p*c_k + F_k with precomputed forcing, evaluated as a
 blocked prefix scan (Blelloch 1990) with no per-step Python loop, streamed
 in groups of rows (see _scan_pieces).  The scan needs a damping step,
-0 < |p| < 1, which step_is_stable checks.
+0 < |p| < 1, which step_is_stable checks.  A real drive on a resonant
+atom scans in float64: every imaginary part is +-0, so |c|^2 keeps its
+bits.  Step powers p^(j+1) are memoised per step factor (_step_powers).
 """
 
 import math
@@ -85,6 +87,25 @@ def step_is_stable(a: AtomParams, dt) -> bool:
 
 
 _GROUP = 1 << 14  # RK4 steps per group of the streamed scan: ~1 MB of work
+_POWERS = {}  # (p2, dtype) -> _step_powers' tables: 4 of <= _GROUP steps, 2 MiB
+
+
+def _step_powers(p2, dtype, block):
+    """p2^(j+1) and p2^-(j+1) for j < block in ``dtype`` (the real parts for
+    float64), read-only.  A table's prefix is the shorter table bit for bit,
+    so the memo keeps the longest (up to _GROUP) of the 4 last step factors."""
+    tables = _POWERS.pop((p2, dtype), None)
+    if tables is None or len(tables[0]) < block:
+        pw = np.exp(np.log(complex(p2)) * np.arange(1.0, block + 1))
+        tables = [np.ascontiguousarray(t.real if dtype is np.float64 else t)
+                  for t in (pw, 1.0 / pw)]
+        for t in tables:
+            t.flags.writeable = False
+    if len(tables[0]) <= _GROUP:
+        if len(_POWERS) >= 4:
+            del _POWERS[next(iter(_POWERS))]
+        _POWERS[(p2, dtype)] = tables
+    return tables[0][:block], tables[1][:block]
 
 
 def _excite_scan(xi, dt, a, b):
@@ -97,7 +118,7 @@ def _excite_scan(xi, dt, a, b):
 def _scan_pieces(x, dt, a, b, scale=None):
     """The amplitude trace c of dc/dt = a*c + b*xi(t) with c(0) = 0, for the
     drive xi = x*scale (x itself when ``scale`` is None), as consecutive
-    complex pieces whose concatenation is c.
+    pieces whose concatenation is c (float64 for a real drive and atom).
 
     Classical RK4 with step h = 2*dt, so the half-step stage falls on a real
     sample and the sampled drive is never interpolated (the drives of
@@ -121,22 +142,26 @@ def _scan_pieces(x, dt, a, b, scale=None):
     in one pass over all rows, and no full-length array is made.
     """
     n = len(x)
+    coefs = _rk4_coeffs(dt, a, b) + _rk4_coeffs(2.0 * dt, a, b)
+    real = (np.isrealobj(x) and np.isrealobj(scale)
+            and all(complex(v).imag == 0 for v in coefs))
+    dtype = np.float64 if real else np.complex128
+    p1, b0, b1, b2, p2, a0, a1, a2 = ([complex(v).real for v in coefs]
+                                      if real else coefs)
 
     def drive(lo, hi):
         part = x[lo:hi] if scale is None else x[lo:hi] * scale
-        return np.asarray(part, dtype=np.complex128)
+        return np.asarray(part, dtype=dtype)
 
-    p1, b0, b1, b2 = _rk4_coeffs(dt, a, b)
     if n == 2:
         xi = drive(0, 2)
         yield np.array([0.0, b0 * xi[0] + b1 * ((xi[0] + xi[1]) / 2)
-                        + b2 * xi[1]], dtype=np.complex128)
+                        + b2 * xi[1]], dtype=dtype)
         return
 
     m = (n - 1) // 2  # full 2*dt steps
-    p2, a0, a1, a2 = _rk4_coeffs(2.0 * dt, a, b)
     block = max(1, int(min(m, 8.0 / -math.log(abs(p2)))))
-    pw = np.exp(np.log(complex(p2)) * np.arange(1.0, block + 1))  # p^(j+1)
+    pw, ipw = _step_powers(p2, dtype, block)
     carry = None  # c at the group's first even index, after the first group
     for k0, k1 in _spans(m, max(1, _GROUP // block) * block):
         k = k1 - k0  # steps in this group
@@ -145,13 +170,13 @@ def _scan_pieces(x, dt, a, b, scale=None):
         n_rows = -(-k // block)
         # even[j] = c[2(k0 + j)]; the forcing is written in place of its
         # outputs and the tail past k pads the last row with zero forcing.
-        even = np.zeros(n_rows * block + 1, dtype=np.complex128)
+        even = np.zeros(n_rows * block + 1, dtype=dtype)
         forcing = even[1:k + 1]
         np.multiply(x0, a0, out=forcing)
         forcing += a1 * x1
         forcing += a2 * x2
         rows = even[1:].reshape(n_rows, block)
-        rows *= 1.0 / pw
+        rows *= ipw
         np.cumsum(rows, axis=1, out=rows)
         rows *= pw
         if carry is not None:
@@ -162,7 +187,7 @@ def _scan_pieces(x, dt, a, b, scale=None):
         carry = even[k]
 
         # odd outputs, with the midpoint drive fm = (3*x0 + 6*x1 - x2)/8
-        c = np.empty(2 * k, dtype=np.complex128)
+        c = np.empty(2 * k, dtype=dtype)
         c[0::2] = even[:k]
         odd = c[1::2]
         np.multiply(even[:k], p1, out=odd)
@@ -176,7 +201,7 @@ def _scan_pieces(x, dt, a, b, scale=None):
         y0, y1, y2 = drive(n - 3, n)
         fme = (-y0 + 6.0 * y1 + 3.0 * y2) / 8.0
         tail.append(p1 * carry + (b0 * y1 + b1 * fme + b2 * y2))
-    yield np.array(tail, dtype=np.complex128)
+    yield np.array(tail, dtype=dtype)
 
 
 def _refine_peak(p, grid: TimeGrid):
@@ -210,11 +235,17 @@ def excite(pulse_mode: Waveform, a: AtomParams) -> ExcitationResult:
     resolved most accurately when they fall on even sample indices (edges
     mid-step cost O(dt^2) locally; smooth pulses are unaffected).  A sample
     spacing too coarse for the atom's decay rate or detuning
-    (step_is_stable) is rejected.
+    (step_is_stable) is rejected, and so is a step that overshoots p = 1.
     """
     p_max, t_at_max = _refine_peak(_probability_trace(pulse_mode, a),
                                    pulse_mode.grid)
-    return ExcitationResult(p_max=p_max, t_at_max=t_at_max)
+    try:
+        return ExcitationResult(p_max=p_max, t_at_max=t_at_max)
+    except ValidationError:
+        raise ValidationError(
+            f"excite: p_max = {p_max:g} exceeds 1: the RK4 step 2*dt = "
+            f"{2.0 * pulse_mode.grid.dt:g} s overshoots for gamma = "
+            f"{a.gamma:g} 1/s; use a finer sample spacing") from None
 
 
 def _probability_trace(pulse_mode: Waveform, a: AtomParams):

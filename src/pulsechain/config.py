@@ -20,9 +20,8 @@ from .envelope import MIN_GATE_SAMPLES, CircuitParams, GatePulse, gate_in_grid
 from .eom import ModulatorParams, window_spans_bin
 from .errors import ValidationError
 from .etalon import EtalonParams, EtalonStack
-from .rfchain import (BandpassSpec, DdsParams, MixerParams, apply_bandpass,
-                      dds_tones, dominant_tone, frequency_quadruple,
-                      resolves_carrier)
+from .rfchain import (BandpassSpec, DdsParams, MixerParams, carrier_tones,
+                      dominant_tone, resolves_carrier)
 from .waveform import TimeGrid
 
 _STAGE_KEY = re.compile(
@@ -270,8 +269,8 @@ def _build(merged, stage_overrides):
             f"config [grid]: dt_ns = {val('grid', 'dt_ns')!r} puts fewer "
             f"than {MIN_GATE_SAMPLES} samples ({n_gate}) in the gate of "
             f"[circuit] gate_len_ns = {val('circuit', 'gate_len_ns')!r}")
-    f_s = dominant_tone(section_guard("bandpass", lambda: frequency_quadruple(
-        apply_bandpass(dds_tones(dds), bandpass))))[0]
+    f_s = dominant_tone(section_guard(
+        "bandpass", lambda: carrier_tones(dds, bandpass))[1])[0]
     if not resolves_carrier(f_s, grid.dt):
         raise ValidationError(
             f"config [grid]: dt_ns = {val('grid', 'dt_ns')!r} gives fewer "

@@ -23,7 +23,7 @@ from .eom import bessel_j, demodulate, distortion_fraction, phase_modulate, side
 from .errors import FitError, ValidationError
 from .etalon import (_filter_spectrum, photon_lifetime, stack_transmission,
                      stage_diagnostics, with_thermal_jitter)
-from .rfchain import apply_bandpass, dds_tones, dominant_tone, frequency_quadruple, mix_envelope
+from .rfchain import carrier_tones, dominant_tone, mix_envelope
 from .waveform import (TimeGrid, Waveform, _forward, analytic_envelope,
                        fit_exponential, read_trace, write_traces)
 
@@ -166,9 +166,7 @@ def _front_end(circuit, gate, grid, dds, bandpass, mixer, eom, keep_taps):
     }
     tap("v_out.csv", v_out)
 
-    tones = _stage("rf", lambda: dds_tones(dds))
-    tones_bpf = _stage("rf", lambda: apply_bandpass(tones, bandpass))
-    tones_rf = _stage("rf", lambda: frequency_quadruple(tones_bpf))
+    tones_bpf, tones_rf = _stage("rf", lambda: carrier_tones(dds, bandpass))
     f_s = dominant_tone(tones_rf)[0]
     rf = _stage("rf", lambda: mix_envelope(v_out, f_s, mixer))
     del v_be, v_out

@@ -1,6 +1,7 @@
 """DDS tone synthesis, band-pass spur suppression, frequency quadrupling and
 double-balanced envelope mixing."""
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,16 @@ def apply_bandpass(tones, spec: BandpassSpec):
         supp = float(np.interp(np.log10(f), node_f, node_db))
         out.append((f, a * 10.0 ** (-(supp + spec.passband_loss_db) / 20.0)))
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def carrier_tones(dds: DdsParams, bandpass: BandpassSpec):
+    """The DDS tones after the band-pass and the same tones quadrupled, as
+    two tuples of (frequency_hz, amplitude) pairs.  Memoised on the frozen
+    blocks: config validation and the run's front end both derive the
+    carrier from them, and every point of a sweep is validated anew."""
+    after = apply_bandpass(dds_tones(dds), bandpass)
+    return tuple(after), tuple(frequency_quadruple(after))
 
 
 def frequency_double(tones):

@@ -289,12 +289,12 @@ def _block_means(x, k):
                            x[c:].reshape(k - r, q).sum(axis=1) / q))
 
 
-def _check_trend(y, sign):
+def _check_trend(y, sign, scale):
     """Monotone-trend precondition: strictly monotone block means of the
-    5-point moving average (the smoothing is used only for this check)."""
+    5-point moving average (the smoothing is used only for this check);
+    ``scale`` is max |y|."""
     sm = _moving_average(y, 5)
     means = _block_means(sm, max(2, min(16, len(sm) // 8)))
-    scale = np.max(np.abs(y))
     if scale <= 0 or (means.max() - means.min()) < 1e-3 * scale:
         raise FitError("fit rejected: data is near-constant over the window")
     d = np.diff(means) * sign
@@ -360,11 +360,13 @@ def fit_exponential(w: Waveform, window, direction) -> FitResult:
     t = t_win - t_win[0]
     # far from 1, an exact power of two brings the peak into [0.5, 1), so
     # no product in the fit under- or overflows; A and B are scaled back
-    shift = int(np.frexp(np.max(y))[1])
+    y_max = np.max(y)  # y >= 0
+    shift = int(np.frexp(y_max)[1])
     shift = shift if abs(shift) > 200 else 0
-    y = np.ldexp(y, -shift) if shift else y
+    if shift:  # exact for the peak, which lands in [0.5, 1)
+        y, y_max = np.ldexp(y, -shift), np.ldexp(y_max, -shift)
 
-    _check_trend(y, sign)
+    _check_trend(y, sign, y_max)
 
     b0 = _offset_estimate(y)
     z = y - b0
@@ -372,18 +374,20 @@ def fit_exponential(w: Waveform, window, direction) -> FitResult:
     if zmax <= 0:
         raise FitError("fit rejected: offset estimate leaves no signal")
     mask = z > 1e-9 * zmax
-    if np.count_nonzero(mask) < 8:
+    n_usable = np.count_nonzero(mask)
+    if n_usable < 8:
         raise FitError("fit rejected: too few usable samples above offset")
+    zm, tm = (z, t) if n_usable == len(z) else (z[mask], t[mask])
     # weighted log-linear LS; weights z^2 approximate linear-space residuals
-    lz = np.log(z[mask])
-    tm = t[mask]
-    wgt = z[mask] ** 2
+    lz = np.log(zm)
+    wgt = zm ** 2
     sw = wgt.sum()
     st = (wgt * tm).sum() / sw
-    sl2 = (wgt * (tm - st) ** 2).sum()
+    d = tm - st
+    sl2 = (wgt * d ** 2).sum()
     if sl2 <= 0:
         raise FitError("fit rejected: degenerate time support")
-    slope = (wgt * (tm - st) * lz).sum() / sl2
+    slope = (wgt * d * lz).sum() / sl2
     icept = (wgt * lz).sum() / sw - slope * st
     tau = sign / slope if slope * sign > 0 else None
     if tau is None or not np.isfinite(tau):
@@ -392,23 +396,20 @@ def fit_exponential(w: Waveform, window, direction) -> FitResult:
             f"'{direction}'")
     amp = float(np.exp(icept))
 
-    def model(a_, tau_, b_):
-        return a_ * np.exp(sign * t / tau_) + b_
-
-    def rnorm(a_, tau_, b_):
-        return float(np.linalg.norm(y - model(a_, tau_, b_)))
-
     best = (amp, tau, b0)
-    r0 = rnorm(*best)
-    # one Gauss-Newton refinement pass on (A, tau, B)
     e = np.exp(sign * t / tau)
+    resid = y - (amp * e + b0)
+    r0 = float(np.linalg.norm(resid))
+    # one Gauss-Newton refinement pass on (A, tau, B)
     jac = np.column_stack([e, amp * e * (-sign * t / tau ** 2), np.ones_like(t)])
     try:
-        delta, *_ = np.linalg.lstsq(jac, y - model(*best), rcond=None)
+        delta, *_ = np.linalg.lstsq(jac, resid, rcond=None)
         cand = (amp + delta[0], tau + delta[1], b0 + delta[2])
-        if cand[1] > 0 and np.isfinite(cand).all() and rnorm(*cand) < r0:
-            best = cand
-            r0 = rnorm(*cand)
+        if cand[1] > 0 and np.isfinite(cand).all():
+            r1 = float(np.linalg.norm(
+                y - (cand[0] * np.exp(sign * t / cand[1]) + cand[2])))
+            if r1 < r0:
+                best, r0 = cand, r1
     except np.linalg.LinAlgError:
         pass
 

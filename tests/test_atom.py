@@ -3,8 +3,10 @@ import pytest
 
 from pulsechain import (AtomParams, TimeGrid, ValidationError, Waveform,
                         compare_shapes, excite, falling_exponential_pulse,
-                        rising_exponential_pulse)
+                        rising_exponential_pulse, write_trace)
+from pulsechain import atom as atom_mod
 from pulsechain.atom import _probability_trace
+from pulsechain.cli import main
 
 GAMMA = 1.0 / 26.2e-9
 DT = 0.1e-9
@@ -200,3 +202,104 @@ class TestCompareShapes:
     def test_invalid_tau(self):
         with pytest.raises(ValidationError):
             compare_shapes(0.0, AtomParams(gamma=GAMMA))
+
+    def test_overshooting_step_is_named(self):
+        # 2*dt*gamma/2 = 2.29 is inside RK4's stability interval, but the
+        # 120 ns step carries the matched rising mode past p = 1
+        with pytest.raises(ValidationError,
+                           match=r"2\*dt = 1\.2e-07 s .*gamma = 3\.81679e\+07"
+                                 r".*use a finer sample spacing"):
+            compare_shapes(2.0 / GAMMA, AtomParams(gamma=GAMMA), dt=60e-9)
+
+    def test_overshooting_pulse_file_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "chain.ini"
+        cfg.write_text("[run]\nseed = 0\n")
+        grid = TimeGrid(0.0, 60e-9, 15)  # compare_shapes' 60 ns rising mode
+        trace = tmp_path / "coarse.csv"
+        write_trace(trace, rising_exponential_pulse(grid, 2.0 / GAMMA,
+                                                    t_cut=grid.t_end))
+        assert main(["excite", str(cfg), "--pulse", str(trace)]) == 1
+        err = capsys.readouterr().err
+        assert "overshoots" in err and "use a finer sample spacing" in err
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+def pieces(x, a, scale=None):
+    return list(atom_mod._scan_pieces(x, DT, *atom_mod._amplitude_coefs(a),
+                                      scale=scale))
+
+
+def drive(kind, n, dt=DT):
+    t = TimeGrid(0.0, dt, n).times()
+    if kind == "rising":  # cut on the last sample, as compare_shapes cuts it
+        return np.exp((t - t[-1]) / 27e-9)
+    if kind == "falling":
+        return np.exp(-t / 27e-9)
+    return np.random.default_rng(n).standard_normal(n)
+
+
+class TestRealScan:
+    """A real drive on a resonant atom runs the scan in float64: every
+    imaginary part of the complex scan is +-0, so |c|^2 is the same."""
+
+    @pytest.mark.parametrize("kind", ["rising", "falling", "noise"])
+    @pytest.mark.parametrize("lam", [1.0, 0.3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 100, 101,
+                                   2 * 2 * atom_mod._GROUP + 1,
+                                   2 * 2 * atom_mod._GROUP + 2])
+    @pytest.mark.parametrize("dt", [DT, 50e-9])  # 50 ns: negative weights
+    def test_real_drive_equals_complex_drive(self, kind, lam, n, dt):
+        # n past 2*_GROUP samples runs the scan in several groups
+        x = drive(kind, n, dt)
+        grid = TimeGrid(0.0, dt, n)
+        a = AtomParams(gamma=GAMMA, lambda_overlap=lam)
+        p_real = _probability_trace(Waveform(grid=grid, samples=x), a)
+        p_cplx = _probability_trace(
+            Waveform(grid=grid, samples=x.astype(np.complex128)), a)
+        assert np.array_equal(bits(p_real), bits(p_cplx))
+
+    @pytest.mark.parametrize("n", [2, 5, 2 * 2 * atom_mod._GROUP + 2])
+    def test_unscaled_real_drive_equals_complex_drive(self, n):
+        x = drive("noise", n)
+        a = AtomParams(gamma=GAMMA)
+        c_real = np.concatenate(pieces(x, a))
+        c_cplx = np.concatenate(pieces(x.astype(np.complex128), a))
+        assert c_real.dtype == np.float64
+        assert not np.any(c_cplx.imag)
+        assert np.array_equal(bits(np.abs(c_real) ** 2),
+                              bits(np.abs(c_cplx) ** 2))
+
+    @pytest.mark.parametrize("n", [2, 5, 1001])
+    def test_detuned_atom_or_complex_drive_stays_complex(self, n):
+        x = drive("falling", n)
+        resonant = AtomParams(gamma=GAMMA)
+        detuned = AtomParams(gamma=GAMMA, detuning_hz=3e6)
+        assert {c.dtype for c in pieces(x, resonant)} == {np.dtype(np.float64)}
+        assert {c.dtype for c in pieces(x, detuned)} == {
+            np.dtype(np.complex128)}
+        assert {c.dtype for c in pieces(x + 0j, resonant)} == {
+            np.dtype(np.complex128)}
+        assert {c.dtype for c in pieces(x, resonant, scale=0.5 + 0.5j)} == {
+            np.dtype(np.complex128)}
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_step_powers_read_only_and_prefix_stable(self, monkeypatch, dtype):
+        monkeypatch.setattr(atom_mod, "_POWERS", {})
+        p2 = atom_mod._rk4_coeffs(2.0 * DT, complex(-GAMMA / 2.0, -0.0),
+                                  1.0)[0]
+        p2 = p2.real if dtype is np.float64 else p2
+
+        def built(b):  # the table at length b, as the scan built it per call
+            pw = np.exp(np.log(complex(p2)) * np.arange(1.0, b + 1))
+            return [t.real if dtype is np.float64 else t for t in (pw, 1 / pw)]
+
+        for b in (1, 69, 2096, 700, 2095):  # grows, then slices
+            tables = atom_mod._step_powers(p2, dtype, b)
+            for got, want in zip(tables, built(b)):
+                assert got.dtype == dtype and not got.flags.writeable
+                assert np.array_equal(bits(got), bits(np.ascontiguousarray(
+                    want)))
+        assert [len(t) for t in atom_mod._POWERS[(p2, dtype)]] == [2096] * 2

@@ -67,6 +67,8 @@ class TestValidation:
             ("[eom]\nv_pi_v = inf\n", "eom"),
             ("[bandpass]\npassband_loss_db = nan\n", "bandpass"),
             ("[bandpass]\nrejections_mhz_dbc = 125:nan\n", "bandpass"),
+            # a band-pass loss that leaves the tones no power
+            ("[bandpass]\npassband_loss_db = 1e6\n", "bandpass"),
             ("[etalon]\ntemp_jitter_mk = nan\n", "etalon"),
             ("[etalon]\nstage2_fsr_ghz = infinity\n", "etalon"),
             # finite values that the unit factor overflows or flushes to 0

@@ -6,6 +6,7 @@ from pulsechain import (BandpassSpec, DdsParams, MixerParams, TimeGrid,
                         apply_bandpass, dds_tones, dominant_tone,
                         fit_exponential, frequency_double, frequency_quadruple,
                         mix_envelope)
+from pulsechain.rfchain import carrier_tones
 
 IDEAL = MixerParams(lo_leak_db=-np.inf, if_leak_db=-np.inf)
 
@@ -73,6 +74,14 @@ class TestDoubling:
         out = dict(frequency_quadruple([(375e6, 1.0), (625e6, 0.1)]))
         assert out[2.5e9] == pytest.approx(0.1, rel=1e-12)
         assert out[1.5e9] == 1.0
+
+    def test_carrier_tones_is_the_chain_memoised(self):
+        dds, bp = DdsParams(), BandpassSpec(passband_loss_db=1.5)
+        after = apply_bandpass(dds_tones(dds), bp)
+        got = carrier_tones(dds, bp)
+        assert got == (tuple(after), tuple(frequency_quadruple(after)))
+        again = carrier_tones(DdsParams(), BandpassSpec(passband_loss_db=1.5))
+        assert again is got
 
     def test_single_stage_doubling(self):
         out = dict(frequency_double([(375e6, 1.0), (625e6, 0.1)]))

@@ -25,7 +25,8 @@ under this script, and the record's ``alternated_cells`` gets the spread
 of their ``best_s`` and ``minflt_per_run``.  Last, ``paired_cells``
 imports both checkouts' ``src/pulsechain`` into this process under distinct
 package names and alternates them op by op: a warm 1e4 ``sweep`` point (as
-the benchmark's ``sweep_small`` runs one) and a warm 1e6 ``run_chain``.
+the benchmark's ``sweep_small`` runs one), a warm 1e6 ``run_chain`` and a
+``compare_shapes`` at a tau spread over ``atom_shapes``' range.
 The record gets the median and [q1, q3] of the per-op ratio change/parent
 and the number of ops below 1: a difference that separate processes on a
 shared host, drifting by +-20% from one to the next, cannot resolve.  Run it from a copy whose directory sits beside
@@ -56,8 +57,10 @@ METRICS = ("setup_s", "op_p50_s", "op_p90_s", "msamples_per_s", "ok_frac",
 PROVENANCE = ("raw_op_p50_s", "host_block_s")   # read off each run's record
 ALTERNATED = ((1_000_000, "cold", 5), (1_000_000, "warm", 8),
               (10_000, "warm", 40))                # (n, mode, reps)
-PAIRED = ((10_000, "sweep", 400), (1_000_000, "warm", 20))  # (n, op, ops)
+PAIRED = ((10_000, "sweep", 400), (1_000_000, "warm", 20),
+          (None, "compare_shapes", 400))           # (n, op, ops)
 FSR_RANGE_GHZ = (10.2, 28.9)                       # as sweep_small draws it
+TAU_RANGE_S = (5.4e-9, 135e-9)                     # as atom_shapes draws it
 SINGLE_THREAD = {name: "1" for name in (
     "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")}
@@ -192,8 +195,16 @@ def _load(root, name):
 def _paired_op(pc, n, op):
     """``timed(i)`` runs op ``i`` of a paired cell with the package ``pc``
     and returns its time: a sweep point at an FSR spread over sweep_small's
-    range, or a run with jitter seeded by ``i``, its config parsed untimed."""
-    if op == "sweep":
+    range, a compare_shapes at a tau spread over atom_shapes' range, or a
+    run with jitter seeded by ``i``, its config parsed untimed."""
+    if op == "compare_shapes":
+        lo, hi = TAU_RANGE_S
+        atom = pc.AtomParams()
+
+        def call(i):
+            tau = lo + (hi - lo) * (i * 0.618034 % 1)
+            return lambda: pc.compare_shapes(tau, atom)
+    elif op == "sweep":
         cfg = pc.parse_config(f"[grid]\nn_samples = {n}\n")
         lo, hi = FSR_RANGE_GHZ
 

@@ -12,16 +12,20 @@ sharp drop -- saturates the Cauchy-Schwarz bound p_max = Lambda; any other
 unit-energy shape does worse.  Full Bloch saturation dynamics are out of
 scope.
 
-Integrator: classical fixed-step RK4 run with step 2*dt so that every stage
-lands on a grid sample; for this linear equation the step is a first-order
-recurrence c_{k+1} = p*c_k + F_k with precomputed forcing, evaluated as a
-blocked prefix scan (Blelloch 1990) with no per-step Python loop, streamed
-in groups of rows (see _scan_pieces).  The scan needs a damping step,
-0 < |p| < 1, which step_is_stable checks.  A real drive on a resonant
-atom scans in float64: every imaginary part is +-0, so |c|^2 keeps its
-bits.  Step powers p^(j+1) are memoised per step factor (_step_powers).
+Integrator: the exact step of this linear equation over 2*dt for the
+drive's quadratic through the step's three grid samples, with propagator
+p = e^(2a*dt) and phi-function weights (Hochbruck & Ostermann, Acta
+Numerica 19, 209 (2010)).  The step is a first-order recurrence
+c_{k+1} = p*c_k + F_k with precomputed forcing, evaluated as a blocked
+prefix scan (Blelloch 1990) with no per-step Python loop, streamed in
+groups of rows (see _scan_pieces).  |p| = e^(-gamma*dt) < 1 for every
+gamma > 0, so every sample spacing runs.  A real drive on a resonant atom
+scans in float64: every imaginary part is +-0, so |c|^2 keeps its bits.
+Step powers p^(j+1) are memoised per step factor (_step_powers).
 """
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,8 +46,9 @@ class AtomParams:
             raise ValidationError("AtomParams.gamma must be finite and > 0")
         if not (0.0 <= self.lambda_overlap <= 1.0):
             raise ValidationError("AtomParams.lambda_overlap must be in [0, 1]")
-        if not np.isfinite(self.detuning_hz):
-            raise ValidationError("AtomParams.detuning_hz must be finite")
+        if not np.isfinite(2.0 * np.pi * self.detuning_hz):
+            raise ValidationError(
+                "AtomParams.detuning_hz must be finite, also times 2*pi")
 
 
 @dataclass(frozen=True)
@@ -56,20 +61,29 @@ class ExcitationResult:
             raise ValidationError("ExcitationResult.p_max must lie in [0, 1]")
 
 
-def _step_factor(al):
-    """p of one RK4 step of dc/dt = a*c with al = a*h: the Taylor polynomial
-    of exp(al) to fourth order.  Overflows to inf/nan, never raises."""
-    return 1.0 + al * (1.0 + al * (0.5 + al * (1.0 / 6.0 + al / 24.0)))
-
-
-def _rk4_coeffs(h, a, b):
-    """One RK4 step of dc/dt = a*c + b*xi as c' = p*c + w0*f0 + w1*fm + w2*f1
-    for the drive f0, fm, f1 at the start, midpoint and end of the step."""
-    al = a * h
-    p = _step_factor(al)
-    w0 = 1.0 + al + al * al / 2.0 + al ** 3 / 4.0
-    w1 = 4.0 + 2.0 * al + al * al / 2.0
-    return p, (h / 6.0) * b * w0, (h / 6.0) * b * w1, (h / 6.0) * b
+@functools.lru_cache(maxsize=16)
+def _step_coeffs(h, a, b):
+    """The exact step of dc/dt = a*c + b*xi over h, for xi the quadratic
+    through the drive f0, fm, f1 at the step's start, midpoint and end, as
+    c' = p*c + w0*f0 + w1*fm + w2*f1 with p = e^(ah).  The weights are
+    b*h*(phi1 - 3 phi2 + 4 phi3, 4 phi2 - 8 phi3, 4 phi3 - phi2), where
+    phi_k(z) = sum_j z^j/(j+k)!: the series for |ah| < 1, the recurrence
+    phi_(k+1) = (phi_k - 1/k!)/z from phi_0 = e^z otherwise."""
+    z = a * h
+    p = cmath.exp(z)
+    if abs(z) < 1.0:
+        phi3 = 0.0
+        for j in range(17, -1, -1):
+            phi3 = phi3 * z + 1.0 / math.factorial(j + 3)
+        phi2 = 0.5 + z * phi3
+        phi1 = 1.0 + z * phi2
+    else:
+        phi1 = (p - 1.0) / z
+        phi2 = (phi1 - 1.0) / z
+        phi3 = (phi2 - 0.5) / z
+    bh = b * h
+    return (p, bh * (phi1 - 3.0 * phi2 + 4.0 * phi3),
+            bh * (4.0 * phi2 - 8.0 * phi3), bh * (4.0 * phi3 - phi2))
 
 
 def _amplitude_coefs(a: AtomParams):
@@ -78,15 +92,7 @@ def _amplitude_coefs(a: AtomParams):
             float(np.sqrt(a.gamma * a.lambda_overlap)))
 
 
-def step_is_stable(a: AtomParams, dt) -> bool:
-    """True when the integrator's RK4 step of 2*dt damps the free amplitude,
-    0 < |p| < 1.  Otherwise the amplitude grows without bound (the step is
-    too long for gamma or the detuning) and the blocked scan has no valid
-    block length."""
-    return 0.0 < abs(_step_factor(_amplitude_coefs(a)[0] * (2.0 * dt))) < 1.0
-
-
-_GROUP = 1 << 14  # RK4 steps per group of the streamed scan: ~1 MB of work
+_GROUP = 1 << 14  # 2*dt steps per group of the streamed scan: ~1 MB of work
 _POWERS = {}  # (p2, dtype) -> _step_powers' tables: 4 of <= _GROUP steps, 2 MiB
 
 
@@ -120,20 +126,21 @@ def _scan_pieces(x, dt, a, b, scale=None):
     drive xi = x*scale (x itself when ``scale`` is None), as consecutive
     pieces whose concatenation is c (float64 for a real drive and atom).
 
-    Classical RK4 with step h = 2*dt, so the half-step stage falls on a real
-    sample and the sampled drive is never interpolated (the drives of
-    interest have sharp, sample-aligned cutoffs).  The step is the recurrence
-    c_{k+1} = p*c_k + F_k, whose forcing F is computed vectorized.  The
-    recurrence runs as a blocked scan: F is laid out in rows of B steps, and
-    within a row c_{j+1} = p^(j+1) * (carry + cumsum_i p^-(i+1) F_i), with
-    the carry, the last value of the row before, added as carry * p^(j+1);
-    only the loop over rows is in Python.  B is the largest block length,
-    at most the number of steps, with |p|^-B <= e^8, which bounds the growth
-    of the scaled terms and so the rounding of the cumulative sum.  The
-    caller ensures 0 < |p| < 1 (step_is_stable).  Odd-index outputs come
-    from one non-accumulating dt-step whose midpoint drive is the local
-    quadratic through three neighbouring samples (the linear midpoint when
-    the trace has only two samples).
+    The step is exact for the drive's quadratic through three samples,
+    over h = 2*dt (:func:`_step_coeffs`), so the drive is never sampled off
+    the grid (the drives of interest have sharp, sample-aligned cutoffs).
+    It is the recurrence c_{k+1} = p*c_k + F_k, with p = e^(2a*dt) and the
+    forcing F computed vectorized.  The recurrence runs as a blocked scan:
+    F is laid out in rows of B steps, and within a row c_{j+1} = p^(j+1) *
+    (carry + cumsum_i p^-(i+1) F_i), with the carry, the last value of the
+    row before, added as carry * p^(j+1); only the loop over rows is in
+    Python.  |p| = e^(-gamma*dt) < 1, and B is the largest block length, at
+    most the number of steps, with gamma*dt*B <= 8: |p|^-B <= e^8 bounds
+    the growth of the scaled terms and so the rounding of the cumulative
+    sum.  One-step rows skip the scaling, so a p that underflows to 0 is
+    never inverted.  Odd-index outputs come from one non-accumulating
+    dt-step whose drive is the local quadratic through three neighbouring
+    samples (the line through both samples when the trace has only two).
 
     The rows are streamed in groups of whole rows, about ``_GROUP`` steps
     each: a group scales its own samples of x, forms its forcing, runs its
@@ -142,7 +149,7 @@ def _scan_pieces(x, dt, a, b, scale=None):
     in one pass over all rows, and no full-length array is made.
     """
     n = len(x)
-    coefs = _rk4_coeffs(dt, a, b) + _rk4_coeffs(2.0 * dt, a, b)
+    coefs = _step_coeffs(dt, a, b) + _step_coeffs(2.0 * dt, a, b)
     real = (np.isrealobj(x) and np.isrealobj(scale)
             and all(complex(v).imag == 0 for v in coefs))
     dtype = np.float64 if real else np.complex128
@@ -160,8 +167,10 @@ def _scan_pieces(x, dt, a, b, scale=None):
         return
 
     m = (n - 1) // 2  # full 2*dt steps
-    block = max(1, int(min(m, 8.0 / -math.log(abs(p2)))))
-    pw, ipw = _step_powers(p2, dtype, block)
+    gamma_dt = -2.0 * a.real * dt  # = -ln|p2|
+    block = m if gamma_dt * m <= 8.0 else max(1, int(8.0 / gamma_dt))
+    pw, ipw = (_step_powers(p2, dtype, block) if block > 1
+               else (np.full(1, p2, dtype=dtype), None))
     carry = None  # c at the group's first even index, after the first group
     for k0, k1 in _spans(m, max(1, _GROUP // block) * block):
         k = k1 - k0  # steps in this group
@@ -176,9 +185,10 @@ def _scan_pieces(x, dt, a, b, scale=None):
         forcing += a1 * x1
         forcing += a2 * x2
         rows = even[1:].reshape(n_rows, block)
-        rows *= ipw
-        np.cumsum(rows, axis=1, out=rows)
-        rows *= pw
+        if block > 1:
+            rows *= ipw
+            np.cumsum(rows, axis=1, out=rows)
+            rows *= pw
         if carry is not None:
             even[0] = carry
             rows[0] += carry * pw
@@ -233,29 +243,25 @@ def excite(pulse_mode: Waveform, a: AtomParams) -> ExcitationResult:
 
     The integrator steps over sample pairs, so sharp pulse edges are
     resolved most accurately when they fall on even sample indices (edges
-    mid-step cost O(dt^2) locally; smooth pulses are unaffected).  A sample
-    spacing too coarse for the atom's decay rate or detuning
-    (step_is_stable) is rejected, and so is a step that overshoots p = 1.
+    mid-step cost O(dt^2) locally; smooth pulses are unaffected).  Its step
+    is exact for the drive's local quadratic, so any sample spacing runs.
+    A p_max above Lambda, which a unit-energy mode cannot reach, is
+    rejected: it comes from content near the sample rate, which the scan's
+    quadratic weighs differently from the trapezoid normalisation.
     """
     p_max, t_at_max = _refine_peak(_probability_trace(pulse_mode, a),
                                    pulse_mode.grid)
-    try:
-        return ExcitationResult(p_max=p_max, t_at_max=t_at_max)
-    except ValidationError:
+    if p_max > a.lambda_overlap * (1.0 + 1e-9):
         raise ValidationError(
-            f"excite: p_max = {p_max:g} exceeds 1: the RK4 step 2*dt = "
-            f"{2.0 * pulse_mode.grid.dt:g} s overshoots for gamma = "
-            f"{a.gamma:g} 1/s; use a finer sample spacing") from None
+            f"excite: p_max = {p_max:g} exceeds Lambda = "
+            f"{a.lambda_overlap:g}: the pulse has content near the sample "
+            f"rate of dt = {pulse_mode.grid.dt:g} s; low-pass or resample it")
+    return ExcitationResult(p_max=p_max, t_at_max=t_at_max)
 
 
 def _probability_trace(pulse_mode: Waveform, a: AtomParams):
     """p(t) = |c(t)|^2 on the pulse's grid, as :func:`excite` computes it."""
     dt = pulse_mode.grid.dt
-    if not step_is_stable(a, dt):
-        raise ValidationError(
-            f"excite: the RK4 step 2*dt = {2.0 * dt:g} s is unstable for "
-            f"gamma = {a.gamma:g} 1/s and detuning = {a.detuning_hz:g} Hz; "
-            "use a finer sample spacing")
     # |x|^2 for the energy, then |c|^2 over it as the scan streams c
     p = np.abs(pulse_mode.samples)
     np.square(p, out=p)

@@ -12,9 +12,9 @@ import hashlib
 import io
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .atom import AtomParams, step_is_stable
+from .atom import AtomParams
 from .detector import DetectorParams
 from .envelope import MIN_GATE_SAMPLES, CircuitParams, GatePulse, gate_in_grid
 from .eom import ModulatorParams, window_spans_bin
@@ -340,14 +340,6 @@ def _build(merged, stage_overrides):
     atom = section_guard("atom", lambda: AtomParams(
         gamma=gamma, lambda_overlap=val("atom", "lambda_overlap"),
         detuning_hz=si("atom", "detuning_mhz", 1e6)))
-    if not step_is_stable(atom, grid.dt):
-        key = ("detuning_mhz"
-               if step_is_stable(replace(atom, detuning_hz=0.0), grid.dt)
-               else "excited_lifetime_ns")
-        raise ValidationError(
-            f"config [atom]: {key} = {val('atom', key)!r} makes the "
-            "excitation integrator's RK4 step unstable (it needs "
-            f"0 < |p| < 1) at [grid] dt_ns = {val('grid', 'dt_ns')!r}")
 
     kv = {section: {key: _canon(v, kind)
                     for key, (v, kind) in merged[section].items()}

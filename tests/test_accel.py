@@ -1,7 +1,9 @@
 """The two sequential loops against per-sample and per-step reference loops:
-the shaper's segment loop in ``envelope.simulate_circuit`` and the RK4
+the shaper's segment loop in ``envelope.simulate_circuit`` and the
 excitation scan in ``atom``."""
 
+import cmath
+import functools
 import math
 import subprocess
 import sys
@@ -47,22 +49,35 @@ def envelope_loop_reference(n, dt, i_on, i_off, slope, v_t, i0, i_c_max,
     return v_be, v_out
 
 
-def rk4_step_reference(c, h, a, b, f0, fm, f1):
-    k1 = a * c + b * f0
-    k2 = a * (c + 0.5 * h * k1) + b * fm
-    k3 = a * (c + 0.5 * h * k2) + b * fm
-    k4 = a * (c + h * k3) + b * f1
-    return c + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(30)
+
+
+@functools.lru_cache(maxsize=None)
+def quadrature_weights(h, a):
+    # int_0^h e^(a(h-s)) L(s) ds for the Lagrange basis L of the nodes
+    # s = 0, h/2, h, by 30-point Gauss-Legendre quadrature
+    s = 0.5 * h * (GL_NODES + 1.0)
+    u = s / h
+    kernel = 0.5 * h * GL_WEIGHTS * np.exp(a * (h - s))
+    return tuple(complex(np.dot(kernel, basis)) for basis in (
+        (2.0 * u - 1.0) * (u - 1.0), 4.0 * u * (1.0 - u), u * (2.0 * u - 1.0)))
+
+
+def exact_step_reference(c, h, a, b, f0, fm, f1):
+    # c(h) = e^(ah) c(0) + b int_0^h e^(a(h-s)) q(s) ds, exactly, for q the
+    # quadratic through f0, fm, f1 at the step's start, midpoint and end
+    w0, wm, w1 = quadrature_weights(h, a)
+    return cmath.exp(a * h) * c + b * (w0 * f0 + wm * fm + w1 * f1)
 
 
 def excite_scan_reference(xi, dt, a, b):
-    # One RK4 step of length 2*dt per sample pair, plus a non-accumulating
+    # One exact step of length 2*dt per sample pair, plus a non-accumulating
     # dt step for each odd index, taken one at a time.
     n = len(xi)
     c = np.zeros(n, dtype=np.complex128)
     if n == 2:
         fm = 0.5 * (xi[0] + xi[1])
-        c[1] = rk4_step_reference(c[0], dt, a, b, xi[0], fm, xi[1])
+        c[1] = exact_step_reference(c[0], dt, a, b, xi[0], fm, xi[1])
         return c
     i = 0
     while i + 2 <= n - 1:
@@ -70,15 +85,15 @@ def excite_scan_reference(xi, dt, a, b):
         x1 = xi[i + 1]
         x2 = xi[i + 2]
         fm = (3.0 * x0 + 6.0 * x1 - x2) / 8.0
-        c[i + 1] = rk4_step_reference(c[i], dt, a, b, x0, fm, x1)
-        c[i + 2] = rk4_step_reference(c[i], 2.0 * dt, a, b, x0, x1, x2)
+        c[i + 1] = exact_step_reference(c[i], dt, a, b, x0, fm, x1)
+        c[i + 2] = exact_step_reference(c[i], 2.0 * dt, a, b, x0, x1, x2)
         i += 2
     if i == n - 2:
         x0 = xi[n - 3]
         x1 = xi[n - 2]
         x2 = xi[n - 1]
         fm = (-x0 + 6.0 * x1 + 3.0 * x2) / 8.0
-        c[n - 1] = rk4_step_reference(c[n - 2], dt, a, b, x1, fm, x2)
+        c[n - 1] = exact_step_reference(c[n - 2], dt, a, b, x1, fm, x2)
     return c
 
 
@@ -102,12 +117,13 @@ def test_envelope_loop_matches_reference():
 DT = 0.1e-9
 A_RB = complex(-1.9e7, -2e5)                  # ~26 ns lifetime, small detuning
 A_DETUNED = complex(-1.9e7, -2 * np.pi * 3e8)  # p turns by ~0.38 rad per step
-A_DAMPED = complex(-1.25e10, 0.0)              # 2*dt*a = -2.5, edge at -2.785
+A_DAMPED = complex(-1.25e10, 0.0)              # 2*dt*a = -2.5
 
 
 def block_length(a, dt, m):
-    # The largest B <= m with |p|^-B <= e^8, p the free 2*dt step factor.
-    p = abs(rk4_step_reference(1.0, 2.0 * dt, a, 0.0, 0.0, 0.0, 0.0))
+    # The largest B <= m with |p|^-B <= e^8, p = e^(-gamma*dt) the modulus
+    # of the free 2*dt step factor.
+    p = math.exp(2.0 * a.real * dt)
     return max(1, min(m, math.floor(8.0 / -math.log(p))))
 
 
@@ -133,7 +149,7 @@ def test_excite_scan_detuned(n):
 
 def test_excite_scan_damped_many_blocks():
     m = 5000
-    assert block_length(A_DAMPED, DT, m) == 18
+    assert block_length(A_DAMPED, DT, m) == 3
     check_scan(2 * m + 1, A_DAMPED, 5)
 
 
@@ -148,6 +164,19 @@ def test_excite_scan_block_boundaries(a, k, dm, odd_tail):
     block = block_length(a, DT, 10 ** 6)
     m = k * block + dm
     check_scan(2 * m + 1 + odd_tail, a, m)
+
+
+@pytest.mark.parametrize("z", [-0.99, -1.01, 0.99, 1.01, -1e-3,
+                               0.99 * cmath.exp(2.2j), 1.01 * cmath.exp(2.2j),
+                               1e-3 * cmath.exp(2.2j)])
+def test_step_weights_match_quadrature(z):
+    # the series (|z| < 1) and the recurrence (|z| >= 1) for the phi-function
+    # weights, on both sides of the switch and where the recurrence would
+    # cancel
+    p, *weights = atom._step_coeffs(1.0, complex(z), 1.0)
+    assert p == cmath.exp(z)
+    for got, want in zip(weights, quadrature_weights(1.0, complex(z))):
+        assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_excite_scan_repeatable():

@@ -164,14 +164,16 @@ class TestOptimality:
             excite(Waveform(grid=grid, samples=np.zeros(100)),
                    AtomParams(gamma=GAMMA))
 
-    def test_unstable_step_rejected(self):
-        # 2*dt*gamma/2 = 3 lies outside RK4's real stability interval
-        pulse = falling_pulse(dt=3.0 / GAMMA, n=100)
-        with pytest.raises(ValidationError, match="unstable"):
-            excite(pulse, AtomParams(gamma=GAMMA))
-        with pytest.raises(ValidationError, match="unstable"):
-            excite(falling_pulse(n=100), AtomParams(gamma=GAMMA,
-                                                     detuning_hz=20e9))
+    def test_coarse_or_detuned_step_runs_within_lambda(self):
+        # the exact step damps the free amplitude at any spacing: here
+        # 2*dt*gamma/2 = 3, and a detuning of 20 GHz turns it by 25 rad
+        for pulse, atom in [
+                (falling_pulse(dt=3.0 / GAMMA, n=100),
+                 AtomParams(gamma=GAMMA)),
+                (falling_pulse(n=100),
+                 AtomParams(gamma=GAMMA, detuning_hz=20e9))]:
+            p = excite(pulse, atom).p_max
+            assert 0.0 <= p <= atom.lambda_overlap
 
     @pytest.mark.parametrize("gamma", [np.inf, 0.0, -1.0, np.nan])
     def test_gamma_finite_positive(self, gamma):
@@ -203,24 +205,49 @@ class TestCompareShapes:
         with pytest.raises(ValidationError):
             compare_shapes(0.0, AtomParams(gamma=GAMMA))
 
+    def test_coarse_matched_pair_runs(self):
+        p_r, p_f = compare_shapes(2.0 / GAMMA, AtomParams(gamma=GAMMA),
+                                  dt=60e-9)
+        assert p_r == pytest.approx(0.753, abs=1e-3)
+        assert p_f == pytest.approx(0.416, abs=1e-3)
+
     def test_overshooting_step_is_named(self):
-        # 2*dt*gamma/2 = 2.29 is inside RK4's stability interval, but the
-        # 120 ns step carries the matched rising mode past p = 1
-        with pytest.raises(ValidationError,
-                           match=r"2\*dt = 1\.2e-07 s .*gamma = 3\.81679e\+07"
-                                 r".*use a finer sample spacing"):
-            compare_shapes(2.0 / GAMMA, AtomParams(gamma=GAMMA), dt=60e-9)
+        # doubling the odd samples puts content at the sample rate, which
+        # the scan's quadratic weighs differently from the trapezoid
+        # normalisation: p_max reads ~1.11 Lambda at every spacing
+        for lam in (1.0, 0.5):
+            with pytest.raises(ValidationError,
+                               match=rf"p_max = {1.11 * lam:.3g}\d* exceeds "
+                                     rf"Lambda = {lam:g}.*dt = 2\.62e-09 s"):
+                excite(doubled_odd(), AtomParams(gamma=GAMMA,
+                                                 lambda_overlap=lam))
 
     def test_overshooting_pulse_file_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "chain.ini"
+        cfg.write_text("[run]\nseed = 0\n")
+        trace = tmp_path / "doubled.csv"
+        write_trace(trace, doubled_odd())
+        assert main(["excite", str(cfg), "--pulse", str(trace)]) == 1
+        err = capsys.readouterr().err
+        assert "exceeds Lambda" in err and "near the sample rate" in err
+
+    def test_coarse_pulse_file_exit_0(self, tmp_path, capsys):
         cfg = tmp_path / "chain.ini"
         cfg.write_text("[run]\nseed = 0\n")
         grid = TimeGrid(0.0, 60e-9, 15)  # compare_shapes' 60 ns rising mode
         trace = tmp_path / "coarse.csv"
         write_trace(trace, rising_exponential_pulse(grid, 2.0 / GAMMA,
                                                     t_cut=grid.t_end))
-        assert main(["excite", str(cfg), "--pulse", str(trace)]) == 1
-        err = capsys.readouterr().err
-        assert "overshoots" in err and "use a finer sample spacing" in err
+        assert main(["excite", str(cfg), "--pulse", str(trace)]) == 0
+        assert "p_max = 0." in capsys.readouterr().out
+
+
+def doubled_odd(dt=0.1 / GAMMA, n=201):
+    # the matched rising mode with its odd-index samples doubled
+    grid = TimeGrid(0.0, dt, n)
+    x = rising_exponential_pulse(grid, 2.0 / GAMMA, grid.t_end).samples.copy()
+    x[1::2] *= 2.0
+    return Waveform(grid=grid, samples=x, unit="sqrtW")
 
 
 def bits(x):
@@ -250,7 +277,7 @@ class TestRealScan:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 100, 101,
                                    2 * 2 * atom_mod._GROUP + 1,
                                    2 * 2 * atom_mod._GROUP + 2])
-    @pytest.mark.parametrize("dt", [DT, 50e-9])  # 50 ns: negative weights
+    @pytest.mark.parametrize("dt", [DT, 50e-9])  # 50 ns: a coarse step
     def test_real_drive_equals_complex_drive(self, kind, lam, n, dt):
         # n past 2*_GROUP samples runs the scan in several groups
         x = drive(kind, n, dt)
@@ -259,6 +286,21 @@ class TestRealScan:
         p_real = _probability_trace(Waveform(grid=grid, samples=x), a)
         p_cplx = _probability_trace(
             Waveform(grid=grid, samples=x.astype(np.complex128)), a)
+        assert np.array_equal(bits(p_real), bits(p_cplx))
+
+    @pytest.mark.parametrize("kind", ["rising", "falling", "noise"])
+    def test_negative_weights_real_drive_equals_complex_drive(self, kind):
+        # at dt = 200 ns the exact step's weight on its first sample is
+        # negative, so the real path must take each coefficient's real part
+        dt, n = 200e-9, 101
+        a, b = atom_mod._amplitude_coefs(AtomParams(gamma=GAMMA))
+        assert atom_mod._step_coeffs(dt, a, b)[1].real < 0
+        x = drive(kind, n, dt)
+        grid = TimeGrid(0.0, dt, n)
+        atom = AtomParams(gamma=GAMMA)
+        p_real = _probability_trace(Waveform(grid=grid, samples=x), atom)
+        p_cplx = _probability_trace(
+            Waveform(grid=grid, samples=x.astype(np.complex128)), atom)
         assert np.array_equal(bits(p_real), bits(p_cplx))
 
     @pytest.mark.parametrize("n", [2, 5, 2 * 2 * atom_mod._GROUP + 2])
@@ -288,8 +330,8 @@ class TestRealScan:
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_step_powers_read_only_and_prefix_stable(self, monkeypatch, dtype):
         monkeypatch.setattr(atom_mod, "_POWERS", {})
-        p2 = atom_mod._rk4_coeffs(2.0 * DT, complex(-GAMMA / 2.0, -0.0),
-                                  1.0)[0]
+        p2 = atom_mod._step_coeffs(2.0 * DT, complex(-GAMMA / 2.0, -0.0),
+                                   1.0)[0]
         p2 = p2.real if dtype is np.float64 else p2
 
         def built(b):  # the table at length b, as the scan built it per call

@@ -149,15 +149,15 @@ def test_excite_with_pulse_file(cfg_file, tmp_path, capsys):
     assert "p_max = 0.99" in out
 
 
-def test_excite_pulse_too_coarse_exit_1(cfg_file, tmp_path, capsys):
-    # the trace's own 80 ns spacing makes the 2*dt RK4 step unstable for
-    # the default 26.2 ns lifetime, although the config's grid is fine
+def test_excite_pulse_coarse_exit_0(cfg_file, tmp_path, capsys):
+    # the trace's own 80 ns spacing is three lifetimes of the default atom;
+    # the exact step runs at any spacing
     grid = TimeGrid(0.0, 80e-9, 50)
     trace = tmp_path / "coarse.csv"
     write_trace(trace, Waveform(grid=grid, samples=np.ones(50), unit="sqrtW"))
     rc = main(["excite", cfg_file, "--pulse", str(trace)])
-    assert rc == 1
-    assert "unstable" in capsys.readouterr().err
+    assert rc == 0
+    assert "p_max = 0." in capsys.readouterr().out
 
 
 def test_usage_error_exit_1(capsys):

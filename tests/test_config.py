@@ -79,9 +79,8 @@ class TestValidation:
             # lifetimes whose decay rate overflows to inf
             ("[atom]\nexcited_lifetime_ns = 1e-300\n", "atom"),
             ("[atom]\nexcited_lifetime_ns = 1e-309\n", "atom"),
-            # an RK4 step of 2*dt that does not damp the free amplitude
-            ("[atom]\nexcited_lifetime_ns = 0.03\n", "atom"),
-            ("[atom]\ndetuning_mhz = 20000\n", "atom"),
+            # a detuning whose angular rate 2*pi*Delta overflows to inf
+            ("[atom]\ndetuning_mhz = 1e302\n", "atom"),
             # a grid that ends before the gate, or gives fewer than 4
             # samples per carrier cycle
             ("[grid]\ndt_ns = 0.03\n", "grid"),
@@ -95,10 +94,6 @@ class TestValidation:
         cases = [
             ("[atom]\nexcited_lifetime_ns = 1e-300\n",
              r"\[atom\]: excited_lifetime_ns = 1e-300 .*infinite"),
-            ("[atom]\nexcited_lifetime_ns = 0.03\n",
-             r"\[atom\]: excited_lifetime_ns = 0.03 .*\[grid\] dt_ns = 0.1"),
-            ("[atom]\ndetuning_mhz = 20000\n",
-             r"\[atom\]: detuning_mhz = 20000.0 .*\[grid\] dt_ns = 0.1"),
         ]
         for text, pattern in cases:
             with pytest.raises(ValidationError, match=pattern):

@@ -113,7 +113,7 @@ def test_filter_spectrum_blocks_are_bit_equal(n, stack, pre):
 # ---------------------------------------------------------------------------
 
 def group_steps(a, dt):
-    p2 = atom._rk4_coeffs(2.0 * dt, a, 1.0)[0]
+    p2 = atom._step_coeffs(2.0 * dt, a, 1.0)[0]
     block = int(8.0 / -math.log(abs(p2)))
     return max(1, atom._GROUP // block) * block
 
@@ -154,7 +154,7 @@ def test_streamed_scan_is_bit_equal(monkeypatch, groups, dm, odd_tail, drive):
 
 
 def test_streamed_scan_carries_across_many_rows(monkeypatch):
-    # a strongly damped atom: 18-step rows, hundreds of rows per group
+    # a strongly damped atom: 3-step rows, thousands of rows per group
     a, b = complex(-1.25e10, 0.0), 6178.0
     m = 2 * group_steps(a, DT) + 1
     xi = np.random.default_rng(9).standard_normal(2 * m + 2) + 0.5j

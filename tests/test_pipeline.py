@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +235,19 @@ class TestStrictJson:
         single = stack_extinction_db(EtalonStack.identical(1), 1.5e9)
         assert rep["etalon"]["cascade_extinction_db"] == pytest.approx(
             400 * single, rel=1e-12)
+
+    @pytest.mark.parametrize("lifetime_ns, p_max", [
+        ("3.6e-239", 8.2e-240), ("1e-6", 2.3e-7), ("1.8e15", 8.0e-14),
+        ("1e300", 1.4e-298)])
+    def test_extreme_atom_lifetime_reports_finite(self, lifetime_ns, p_max):
+        # gamma*dt from 2.8e237, where the 2*dt step factor underflows to 0,
+        # down to 1e-301, where it rounds to 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_chain(parse_config(
+                f"[atom]\nexcited_lifetime_ns = {lifetime_ns}\n"))
+        rep = json.loads(report.to_json(), parse_constant=pytest.fail)
+        assert rep["atom"]["p_max"] == pytest.approx(p_max, rel=0.05)
 
     def test_non_finite_values_refused(self):
         with pytest.raises(ValueError):

@@ -56,10 +56,6 @@ class ExcitationResult:
     p_max: float
     t_at_max: float
 
-    def __post_init__(self):
-        if not (-1e-12 <= self.p_max <= 1.0 + 1e-9):
-            raise ValidationError("ExcitationResult.p_max must lie in [0, 1]")
-
 
 @functools.lru_cache(maxsize=16)
 def _step_coeffs(h, a, b):
@@ -112,13 +108,6 @@ def _step_powers(p2, dtype, block):
             del _POWERS[next(iter(_POWERS))]
         _POWERS[(p2, dtype)] = tables
     return tables[0][:block], tables[1][:block]
-
-
-def _excite_scan(xi, dt, a, b):
-    """Amplitude trace c of dc/dt = a*c + b*xi(t) with c(0) = 0: the pieces
-    of :func:`_scan_pieces` joined."""
-    return np.concatenate(list(_scan_pieces(
-        np.asarray(xi, dtype=np.complex128), dt, a, b)))
 
 
 def _scan_pieces(x, dt, a, b, scale=None):

@@ -340,6 +340,9 @@ def _build(merged, stage_overrides):
     atom = section_guard("atom", lambda: AtomParams(
         gamma=gamma, lambda_overlap=val("atom", "lambda_overlap"),
         detuning_hz=si("atom", "detuning_mhz", 1e6)))
+    if not atom.lambda_overlap > 0:
+        raise ValidationError("config [atom] lambda_overlap must be > 0: "
+                              "an atom with no overlap cannot be excited")
 
     kv = {section: {key: _canon(v, kind)
                     for key, (v, kind) in merged[section].items()}

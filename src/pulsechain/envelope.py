@@ -100,8 +100,6 @@ def shockley_current(v_be, p: CircuitParams):
 
 def tau_from_control_voltage(p: CircuitParams):
     """Design rise time constant R11 * C1 * v_t / (v_in - v_drop)."""
-    if not p.v_in > p.v_drop:
-        raise ValidationError("invalid control voltage: v_in <= v_drop")
     return p.r11 * p.c1 * p.v_t / (p.v_in - p.v_drop)
 
 

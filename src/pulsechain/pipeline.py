@@ -6,6 +6,7 @@ byte-identical across repeated runs, and every output file is written
 atomically.
 """
 
+import copy
 import functools
 import json
 import os
@@ -28,22 +29,11 @@ from .waveform import (TimeGrid, Waveform, _forward, analytic_envelope,
                        fit_exponential, read_trace, write_traces)
 
 
-def _py(obj):
-    """Recursively convert numpy scalars so the report serializes as JSON."""
-    if isinstance(obj, dict):
-        return {k: _py(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_py(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
 @dataclass(frozen=True)
 class RunReport:
     """Per-stage summaries plus provenance; serializable deterministically."""
 
-    data: dict
+    data: dict  # of plain JSON types: dict, list, str, int, float, bool, None
 
     def to_json(self):
         return json.dumps(self.data, indent=2, allow_nan=False) + "\n"
@@ -176,7 +166,7 @@ def _front_end(circuit, gate, grid, dds, bandpass, mixer, eom, keep_taps):
         "tones_after_bandpass": [
             {"f_hz": f, "amplitude": a} for f, a in tones_bpf],
         "spurs_at_output": [
-            {"f_hz": f, "dbc": 20.0 * np.log10(a) if a > 0 else None}
+            {"f_hz": f, "dbc": float(20.0 * np.log10(a)) if a > 0 else None}
             for f, a in tones_rf if a < 1.0],
         "envelope_fit": _try_fit(analytic_envelope(_gate_span(rf, gate)),
                                  rf_window, "rising"),
@@ -218,7 +208,7 @@ def run_chain(cfg: ChainConfig, outdir=None) -> RunReport:
     def tap(name, w):
         traces[name] = w if outdir is not None else None
 
-    report = {
+    report = copy.deepcopy({  # the front-end blocks are shared between runs
         "provenance": {"config_sha256": config_sha256(cfg), "seed": cfg.seed,
                        "version": __version__},
         "grid": {"dt_s": grid.dt, "n_samples": grid.n_samples,
@@ -227,7 +217,7 @@ def run_chain(cfg: ChainConfig, outdir=None) -> RunReport:
         "envelope": {**fe.envelope, "gate_on_s": cfg.gate.t_on},
         "rf": fe.rf,
         "eom": fe.eom,
-    }
+    })
     f_s, rf_window = fe.f_s, fe.rf_window
 
     stack = cfg.etalon
@@ -250,7 +240,7 @@ def run_chain(cfg: ChainConfig, outdir=None) -> RunReport:
             "conversion_gain set leaves no pulse")
     filtered = _stage("etalon", lambda: _filter_spectrum(
         fe.sideband, grid, "sqrtW", stack, pre_gain=sideband_window(f_s)))
-    ring_amp = max(photon_lifetime(e) for e in stack.stages)
+    ring_amp = float(max(photon_lifetime(e) for e in stack.stages))
     report["etalon"] = {
         **diag,
         "rise_fit": _try_fit(filtered, rf_window, "rising"),
@@ -280,16 +270,16 @@ def run_chain(cfg: ChainConfig, outdir=None) -> RunReport:
 
     if cfg.run_excitation:
         res = _stage("atom", lambda: excite(filtered, cfg.atom))
-        bound = cfg.atom.lambda_overlap
+        bound = cfg.atom.lambda_overlap  # > 0 (config._build)
         report["atom"] = {
             "p_max": res.p_max,
             "t_at_max_s": res.t_at_max,
             "matched_pulse_bound": bound,
-            "efficiency_vs_matched": res.p_max / bound if bound > 0 else None,
+            "efficiency_vs_matched": res.p_max / bound,
         }
 
     report["traces"] = sorted(traces)
-    out = RunReport(data=_py(report))
+    out = RunReport(data=report)
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
         write_traces([(os.path.join(outdir, name), w)
@@ -313,7 +303,8 @@ def sweep(cfg: ChainConfig, parameter_path, values, outdir=None):
     if outdir is not None:
         summary = {
             "parameter": parameter_path,
-            "points": [{"index": i, "value": _py(v), "report": r.data}
+            "points": [{"index": i, "value": np.asarray(v).item(),  # plain scalar
+                        "report": r.data}
                        for i, (v, r) in enumerate(zip(values, reports))],
         }
         _atomic_write(os.path.join(outdir, "sweep_summary.json"),

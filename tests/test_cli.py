@@ -136,6 +136,22 @@ def test_excite_refuses_disabled_atom_before_running(tmp_path, capsys,
         "error: config disables [atom] run_excitation and no --pulse given\n")
 
 
+@pytest.mark.parametrize("command", ["excite", "simulate"])
+def test_zero_overlap_refused_naming_the_key(tmp_path, capsys, command):
+    # an atom with no overlap cannot be excited: refused before any output
+    p = tmp_path / "dark.ini"
+    p.write_text("[atom]\nlambda_overlap = 0\n")
+    out = tmp_path / "out"
+    args = [command, str(p)] + (["--outdir", str(out)]
+                                if command == "simulate" else [])
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: config [atom] lambda_overlap must be > 0: "
+                            "an atom with no overlap cannot be excited\n")
+    assert not out.exists()
+
+
 def test_excite_with_pulse_file(cfg_file, tmp_path, capsys):
     gamma = 1 / 26.2e-9
     n = 2620  # 10 lifetimes of support

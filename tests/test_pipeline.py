@@ -7,10 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
-from pulsechain import (EtalonStack, GatePulse, RunReport, ValidationError,
-                        Waveform, default_config, fit_trace, parse_config,
-                        pipeline, read_trace, run_chain, set_config_value,
-                        stack_extinction_db, sweep, valid_parameter_paths)
+from pulsechain import (EtalonStack, GatePulse, LeakageWarning, RunReport,
+                        ValidationError, Waveform, default_config, fit_trace,
+                        parse_config, pipeline, read_trace, run_chain,
+                        set_config_value, stack_extinction_db, sweep,
+                        valid_parameter_paths)
 from pulsechain.cli import main
 
 
@@ -249,6 +250,30 @@ class TestStrictJson:
         rep = json.loads(report.to_json(), parse_constant=pytest.fail)
         assert rep["atom"]["p_max"] == pytest.approx(p_max, rel=0.05)
 
+    @pytest.mark.parametrize("text", [
+        "", "[etalon]\napply_temp_jitter = true\n",
+        "[atom]\nrun_excitation = false\n",
+        "[mixer]\nlo_leak_db = -inf\nif_leak_db = -inf\n",
+        "[etalon]\nfsr_ghz = 0.1\n"])
+    def test_every_report_node_is_a_plain_type(self, text):
+        # exact types: numpy's float64 subclasses float and would pass
+        # isinstance, but not int64 or bool_
+        def odd_nodes(obj, path):
+            if type(obj) is dict:
+                keys = [f"{path} key {k!r}" for k in obj if type(k) is not str]
+                return keys + [p for k, v in obj.items()
+                               for p in odd_nodes(v, f"{path}.{k}")]
+            if type(obj) is list:
+                return [p for i, v in enumerate(obj)
+                        for p in odd_nodes(v, f"{path}[{i}]")]
+            plain = (str, int, float, bool, type(None))
+            return [] if type(obj) in plain else [f"{path}: {type(obj)}"]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LeakageWarning)  # fsr_ghz = 0.1
+            data = run_chain(parse_config(text)).data
+        assert odd_nodes(data, "data") == []
+
     def test_non_finite_values_refused(self):
         with pytest.raises(ValueError):
             RunReport(data={"x": float("nan")}).to_json()
@@ -466,6 +491,19 @@ class TestSweep:
                              parse_constant=pytest.fail)
         assert [p["value"] for p in summary["points"]] == values
         assert os.path.isdir(tmp_path / "sw" / "point_002")
+
+    @pytest.mark.parametrize("path, values", [
+        ("etalon.n_stages", np.arange(2, 4)),
+        ("etalon.fsr_ghz", np.array([10.2, 17.0]))])
+    def test_numpy_scalar_values_written_as_plain_json(self, tmp_path, path,
+                                                       values):
+        # the values iterate as numpy scalars: int64, then float64
+        sweep(default_config(), path, values, str(tmp_path))
+        summary = json.loads((tmp_path / "sweep_summary.json").read_text(),
+                             parse_constant=pytest.fail)
+        written = [p["value"] for p in summary["points"]]
+        assert written == values.tolist()
+        assert [type(v) for v in written] == [type(v) for v in values.tolist()]
 
     def test_unresolvable_path_names_valid_ones(self):
         with pytest.raises(ValidationError, match="valid paths"):

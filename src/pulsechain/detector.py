@@ -40,7 +40,8 @@ def detect(field: Waveform, d: DetectorParams) -> Waveform:
     """
     power = np.abs(field.samples)
     np.square(power, out=power)
-    np.multiply(d.responsivity, power, out=power)
+    if d.responsivity != 1.0:  # x * 1.0 is x, bit for bit
+        np.multiply(d.responsivity, power, out=power)
     bws = [bw for bw in (d.bandwidth_hz, d.scope_bandwidth_hz)
            if bw is not None and np.isfinite(bw)]
     if bws:
@@ -51,13 +52,15 @@ def detect(field: Waveform, d: DetectorParams) -> Waveform:
 
 
 def _pole_product(f, bandwidths):
-    """``math.prod`` of the one-pole responses 1 / (1 + i f/bw), built in
-    place by the same operations, in the same order."""
+    """``math.prod`` of the one-pole responses 1 / (1 + i f/bw), bit for
+    bit: numpy divides by a real bw as Smith's method does, multiplying by
+    1/bw, so 1 + i f/bw is built in real arithmetic (the sign of a zero
+    imaginary part aside, which 1/p drops), and the rest in place."""
     h = None
     for bw in bandwidths:
-        p = np.multiply(1j, f)
-        p /= bw
-        p += 1.0
+        p = np.empty(np.shape(f), complex)
+        p.real = 1.0
+        np.multiply(f, 1.0 / bw, out=p.imag)
         np.divide(1.0, p, out=p)
         h = p if h is None else np.multiply(h, p, out=h)
     return h

@@ -211,16 +211,20 @@ def filter_pulse(field: Waveform, s: EtalonStack, pre_gain=None) -> Waveform:
     modulator output.  The spectral support that reaches the cascade must sit
     within +-FSR/2 of the stack's transmission peak nearest zero offset; if
     more than 1% of its energy lies outside that band a LeakageWarning is
-    emitted (neighbouring FSR orders would alias through).
+    emitted (neighbouring FSR orders would alias through).  The output is
+    a new array: the leak check may read the spectrum after it is written.
     """
-    amps = _forward(field.samples)
-    return _filter_spectrum(amps, field.grid, field.unit, s, pre_gain, out=amps)
+    return _filter_spectrum(_forward(field.samples), field.grid, field.unit,
+                            s, pre_gain)
 
 
 def _fft_frequencies(lo, hi, n, dt):
     """``np.fft.fftfreq(n, dt)[lo:hi]``, computed as fftfreq computes it."""
-    k = np.arange(lo, hi)
-    k[k >= (n - 1) // 2 + 1] -= n
+    wrap = (n - 1) // 2 + 1  # the first bin of negative frequency
+    shift = n if lo >= wrap else 0
+    k = np.arange(lo - shift, hi - shift)
+    if lo < wrap < hi:  # only a block across the wrap needs the mask
+        k[k >= wrap] -= n
     return k * (1.0 / (n * dt))
 
 
@@ -249,30 +253,26 @@ def _outside_fraction(power, df, i_peak, half_fsr):
     return float(outside / total)
 
 
-def _filter_spectrum(amps, grid, unit, s: EtalonStack, pre_gain=None, out=None):
+def _filter_spectrum(amps, grid, unit, s: EtalonStack, pre_gain=None):
     """:func:`filter_pulse` on ``amps``, the normalized DFT
     (:func:`~pulsechain.waveform._forward`) of a field on ``grid``.
 
-    The filtered spectrum is written to ``out``, a new array by default, and
-    transformed back in place, so ``amps`` is only read unless it is ``out``
-    itself: a shared, read-only spectrum can be filtered again with another
-    stack.  One pass over blocks of ``_BINS`` bins forms each block's gain,
-    power and peak search and writes its output, so beside ``out`` the pass
-    holds only the power and O(block) temporaries.
+    ``amps`` is only read, so a shared, read-only spectrum can be filtered
+    again with another stack.  One pass over blocks of ``_BINS`` bins forms
+    each block's gain and peak search and writes the filtered spectrum to a
+    new array, transformed back in place; beside it the pass holds O(block)
+    temporaries.  Only when +-FSR/2 about the peak misses part of the grid
+    can energy leak: then a second blocked pass forms the power
+    |pre * amps|^2 (one float per bin) for the leak fraction.
     """
     n = grid.n_samples
-    if out is None:
-        out = np.empty_like(amps)
-    power = np.empty(n)
+    df = 1.0 / (n * grid.dt)
+    out = np.empty_like(amps)
     half_fsr = s.min_fsr_hz / 2.0
     peak = (-1.0, 0)  # |h| and bin of the peak nearest the sideband
     for lo, hi in _spans(n, _BINS):
         fb = _fft_frequencies(lo, hi, n, grid.dt)
-        ab, ob, pb = (x[lo:hi] for x in (amps, out, power))
         h = stack_transmission(fb, s)
-        pre = 1.0 if pre_gain is None else pre_gain(fb)
-        # from a temporary: ob may be ab itself, written below
-        np.square(np.abs(pre * ab, out=pb), out=pb)
         # the transmission peak nearest the sideband: with FSR below the
         # grid bandwidth, equal peaks repeat across the spectrum
         mag = np.abs(h)
@@ -280,17 +280,27 @@ def _filter_spectrum(amps, grid, unit, s: EtalonStack, pre_gain=None, out=None):
         k = int(np.argmax(mag))
         if mag[k] > peak[0]:
             peak = (mag[k], lo + k)
-        np.multiply(pre, h, out=h)
+        np.multiply(1.0 if pre_gain is None else pre_gain(fb), h, out=h)
         if not np.all(np.isfinite(h)):
             raise ValidationError("filter_pulse: the gain is not finite")
-        np.multiply(h, ab, out=ob)
-    outside_frac = _outside_fraction(power, 1.0 / (n * grid.dt), peak[1],
-                                     half_fsr)
-    if outside_frac > 0.01:
-        warnings.warn(
-            f"{outside_frac:.1%} of pulse energy lies beyond +-FSR/2 of "
-            f"the cascade transmission peak", LeakageWarning, stacklevel=3)
-    del power  # before the inverse transform allocates its scratch space
+        np.multiply(h, amps[lo:hi], out=out[lo:hi])
+    k_max = (n - 1) // 2
+    f_peak = (peak[1] - n if peak[1] > k_max else peak[1]) * df
+    # by the comparison _outside_fraction bisects on: when both ends of the
+    # grid are inside, every bin is, and the fraction is exactly 0
+    if not all(abs(k * df - f_peak) <= half_fsr for k in (-(n // 2), k_max)):
+        power = np.empty(n)
+        for lo, hi in _spans(n, _BINS):
+            pre = 1.0 if pre_gain is None else pre_gain(
+                _fft_frequencies(lo, hi, n, grid.dt))
+            pb = power[lo:hi]
+            np.square(np.abs(pre * amps[lo:hi], out=pb), out=pb)
+        outside_frac = _outside_fraction(power, df, peak[1], half_fsr)
+        del power  # before the inverse transform allocates its scratch space
+        if outside_frac > 0.01:
+            warnings.warn(
+                f"{outside_frac:.1%} of pulse energy lies beyond +-FSR/2 of "
+                f"the cascade transmission peak", LeakageWarning, stacklevel=3)
     return _inverse(out, grid, unit, overwrite=True)
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,12 +104,27 @@ def detect_reference(field, d):
     return out.samples.real
 
 
-@pytest.mark.parametrize("bandwidths", [[1e9, 2e9], [3e9], [2e9, 1e9]])
+@pytest.mark.parametrize("bandwidths", [[1e9, 2e9], [3e9], [2e9, 1e9],
+                                        [1e9, 2e9, 0.5e9], [math.pi * 1e9]])
 def test_pole_product_is_the_product_of_poles(bandwidths):
-    # built in place, bit for bit the product detect took of the poles
-    f = np.fft.rfftfreq(10001, 0.1e-9)
+    # built in real arithmetic, bit for bit the product of the complex
+    # poles: over the rfft bins, signed zeros, negative and huge f
+    f = np.concatenate([np.fft.rfftfreq(10001, 0.1e-9),
+                        [0.0, -0.0, -1.0, -3.3e9, -1e12, 1e300, -1e300],
+                        np.random.default_rng(5).uniform(-1e10, 1e12, 1000)])
     ref = math.prod(one_pole_lowpass(bw)(f) for bw in bandwidths)
     assert _pole_product(f, bandwidths).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("d", [DetectorParams(), WIDE_OPEN])
+def test_responsivity_scales_the_trace_exactly(d):
+    # a responsivity of 2 scales every step exactly, so the trace doubles
+    # bit for bit: the multiply is taken for 2 and skipped for 1 alike
+    w = gated_exponential(17.4e-9)
+    one = detect(w, d).samples
+    two = detect(w, replace(d, responsivity=2.0)).samples
+    assert np.any(one != 0)
+    assert (2.0 * one).tobytes() == two.tobytes()
 
 
 class TestRealTransformOracle:

@@ -375,6 +375,12 @@ class TestBlockedGainOracle:
         (with_thermal_jitter(EtalonStack.identical(
             2, EtalonParams(fsr_hz=3e9)), np.random.default_rng(4)),
          sideband_window(1e9)),
+        # a 12 GHz FSR spans the grid's 10 GHz, but detuned by +-4 GHz its
+        # +-6 GHz band about the peak misses one end of the grid only
+        (EtalonStack(stages=(EtalonParams(fsr_hz=12e9, detuning_hz=4e9),)),
+         None),
+        (EtalonStack(stages=(EtalonParams(fsr_hz=12e9, detuning_hz=-4e9),)),
+         None),
     ])
     def test_matches_whole_spectrum_pass(self, n, stack, pre):
         grid = TimeGrid(0.0, 0.1e-9, n)

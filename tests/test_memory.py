@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pulsechain import (AtomParams, EtalonParams, EtalonStack, TimeGrid,
-                        Waveform, atom, parse_config, run_chain,
+                        Waveform, atom, etalon, parse_config, run_chain,
                         set_config_value)
 from pulsechain.eom import sideband_window
 from pulsechain.etalon import (_fft_frequencies, _filter_spectrum,
@@ -79,12 +79,19 @@ def test_filter_real_blocks_are_bit_equal(n, transfer):
 SPECTRAL_NS = [1000, _BINS - 1, _BINS, _BINS + 1, 3 * _BINS + 8]
 
 
-@pytest.mark.parametrize("n", SPECTRAL_NS)
+@pytest.mark.parametrize("n", SPECTRAL_NS + [1, 2, 1001, 3 * _BINS + 7])
 def test_fft_frequencies_match_fftfreq(n):
     whole = np.fft.fftfreq(n, DT)
     blocks = [_fft_frequencies(lo, min(lo + _BINS, n), n, DT)
               for lo in range(0, n, _BINS)]
     assert bits(np.concatenate(blocks)) == bits(whole)
+    # blocks wholly below the wrap point, ending at it, starting at it,
+    # wholly above it and straddling it
+    wrap = (n - 1) // 2 + 1
+    for lo, hi in [(0, wrap // 2), (0, wrap), (wrap, n), ((wrap + n) // 2, n),
+                   (max(0, wrap - 3), min(n, wrap + 3))]:
+        if lo < hi:
+            assert bits(_fft_frequencies(lo, hi, n, DT)) == bits(whole[lo:hi])
 
 
 @pytest.mark.parametrize("n", SPECTRAL_NS)
@@ -106,6 +113,26 @@ def test_filter_spectrum_blocks_are_bit_equal(n, stack, pre):
         warnings.simplefilter("ignore")  # the leaking stack warns
         got = _filter_spectrum(amps, grid, "sqrtW", stack, pre_gain=pre)
     assert bits(got.samples) == bits(whole)
+
+
+def test_covered_band_forms_no_power(monkeypatch):
+    # the default 17 GHz stack's +-FSR/2 covers the 10 GHz grid, so the
+    # leak fraction is 0 without the power: the pass holds its output and
+    # O(block) temporaries, which smaller blocks keep below 0.2 trace at
+    # 1e5 bins (an n-float power array would add half a trace)
+    monkeypatch.setattr(etalon, "_BINS", 1024)
+    n = 100_000
+    rng = np.random.default_rng(n)
+    amps = _forward(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    amps.flags.writeable = False
+    tracemalloc.start()
+    try:
+        _filter_spectrum(amps, TimeGrid(0.0, DT, n), "sqrtW",
+                         EtalonStack.identical(3), sideband_window(1.5e9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (16 * n) <= 1.2
 
 
 # ---------------------------------------------------------------------------

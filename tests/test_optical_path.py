@@ -22,6 +22,8 @@ from pulsechain import (DetectorParams, LeakageWarning, Waveform,
                         photon_lifetime, read_trace, run_chain,
                         sideband_window, simulate_circuit, stack_transmission,
                         with_thermal_jitter)
+from pulsechain import etalon
+from pulsechain.waveform import _forward
 from spectral_oracle import apply_transfer
 from test_eom import decompose_sidebands
 
@@ -92,6 +94,43 @@ def test_narrow_fsr_run_still_warns():
     # the windowed sideband spans ~+-50 MHz; a 100 MHz FSR leaks ~4%
     with pytest.warns(LeakageWarning, match="beyond"):
         run_chain(parse_config("[etalon]\nfsr_ghz = 0.1\n"))
+
+
+@pytest.mark.parametrize("detuning_mhz", [0.0, 30.0])
+def test_narrow_fsr_leak_matches_the_whole_power(chain, monkeypatch,
+                                                 detuning_mhz):
+    # +-FSR/2 of a 100 MHz FSR misses most of the grid, so the leak check
+    # forms the power; with 30 MHz of detuning the peak sits off centre, at
+    # -30 MHz.  Its fraction and warning text are those of the whole power
+    # array as one pass formed it
+    cfg, field, f_s = chain
+    stack = parse_config(f"[etalon]\nfsr_ghz = 0.1\n"
+                         f"detuning_mhz = {detuning_mhz}\n").etalon
+    calls, fraction = [], etalon._outside_fraction
+
+    def outside(power, *args):
+        calls.append((power.copy(), *args))
+        return fraction(power, *args)
+
+    monkeypatch.setattr(etalon, "_outside_fraction", outside)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        one_pass(field, f_s, stack)
+    shifted = demodulate(field, f_s)
+    n, dt = shifted.grid.n_samples, shifted.grid.dt
+    f = np.fft.fftfreq(n, dt)
+    power = np.abs(sideband_window(f_s)(f) * _forward(shifted.samples)) ** 2
+    near = np.flatnonzero(np.abs(f) <= 50e6)
+    i_peak = near[int(np.argmax(np.abs(stack_transmission(f[near], stack))))]
+    assert f[i_peak] == pytest.approx(-detuning_mhz * 1e6, abs=1 / (n * dt))
+    frac = fraction(power, 1 / (n * dt), i_peak, 50e6)
+    assert frac > 0.01
+    [(got, df, got_peak, half_fsr)] = calls
+    assert got.tobytes() == power.tobytes()
+    assert (df, got_peak, half_fsr) == (1 / (n * dt), i_peak, 50e6)
+    assert [str(c.message) for c in caught] == [
+        f"{frac:.1%} of pulse energy lies beyond +-FSR/2 of the cascade "
+        f"transmission peak"]
 
 
 def test_repeated_peaks_do_not_fake_leakage():

@@ -33,6 +33,11 @@ shared host, drifting by +-20% from one to the next, cannot resolve.  Run it fro
 the parent's and has a name of the same length: the benchmark's host-speed
 block and the cells' minor faults depend on the heap layout, which the path
 moves.
+
+A spread is kept as its median and [q1, q3], not as its runs, and the
+record is written with each dict or list of scalars (or of lists of
+scalars) on one line, so an entry is about 200 lines.  ``--append`` adds
+it to the end of the JSON list and leaves the earlier entries as written.
 """
 
 import argparse
@@ -57,7 +62,7 @@ METRICS = ("setup_s", "op_p50_s", "op_p90_s", "msamples_per_s", "ok_frac",
 PROVENANCE = ("raw_op_p50_s", "host_block_s")   # read off each run's record
 ALTERNATED = ((1_000_000, "cold", 5), (1_000_000, "warm", 8),
               (10_000, "warm", 40))                # (n, mode, reps)
-PAIRED = ((10_000, "sweep", 400), (1_000_000, "warm", 20),
+PAIRED = ((10_000, "sweep", 400), (1_000_000, "warm", 40),
           (None, "compare_shapes", 400))           # (n, op, ops)
 FSR_RANGE_GHZ = (10.2, 28.9)                       # as sweep_small draws it
 TAU_RANGE_S = (5.4e-9, 135e-9)                     # as atom_shapes draws it
@@ -147,7 +152,7 @@ def _chainbench(root, workload, seed, seconds):
 
 def _spread(values):
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": med, "q1_q3": [q1, q3], "runs": values}
+    return {"median": med, "q1_q3": [q1, q3]}
 
 
 def _alternate(label, parent, n_pairs, measure, keys):
@@ -270,6 +275,43 @@ def _src(root):
     return sha.hexdigest(), lines
 
 
+def _flat(x):
+    """Whether ``x`` holds no container but lists of scalars."""
+    values = x.values() if isinstance(x, dict) else x
+    return all(not isinstance(v, dict) and (not isinstance(v, list)
+                                             or _flat(v)) for v in values)
+
+
+def _dumps(x, pad=""):
+    """``x`` as JSON indented by one space per level, with each dict or list
+    that holds no container but lists of scalars on one line (a spread, a
+    matrix cell), so that a record is a couple of hundred lines."""
+    if not isinstance(x, (dict, list)) or _flat(x):
+        return json.dumps(x)
+    inner = pad + " "
+    if isinstance(x, dict):
+        items = (f"{json.dumps(k)}: {_dumps(v, inner)}" for k, v in x.items())
+        brackets = "{}"
+    else:
+        items = (_dumps(v, inner) for v in x)
+        brackets = "[]"
+    return (brackets[0] + "\n" + ",\n".join(inner + i for i in items) + "\n"
+            + pad + brackets[1])
+
+
+def append(path, record):
+    """Add ``record`` to the JSON list in ``path`` (made if missing) before
+    its closing bracket, so that the earlier entries stay as written."""
+    old = "[]"
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            old = fh.read()
+    head = old.rstrip()[:-1].rstrip()
+    sep = ",\n" if json.loads(old) else "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{head}{sep} {_dumps(record, ' ')}\n]\n")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--reps", type=int, default=5)
@@ -308,15 +350,8 @@ def main():
             "cells": alternated_cells(args.parent, args.pairs)}
         record["paired_cells"] = paired_cells(args.parent)
     if args.append:
-        entries = []
-        if os.path.exists(args.append):
-            with open(args.append, encoding="utf-8") as fh:
-                entries = json.load(fh)
-        entries.append(record)
-        with open(args.append, "w", encoding="utf-8") as fh:
-            json.dump(entries, fh, indent=1)
-            fh.write("\n")
-    print(json.dumps(record, indent=1))
+        append(args.append, record)
+    print(_dumps(record))
     return 0
 
 

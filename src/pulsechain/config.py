@@ -50,8 +50,7 @@ _SCHEMA = {
     "mixer": [("conversion_gain", "f", "1.0"), ("lo_leak_db", "inf", "-40.0"),
               ("if_leak_db", "inf", "-40.0")],
     "eom": [("v_pi_v", "f", "1.7"), ("drive_scale", "f", "0.29"),
-            ("bandwidth_ghz", "f", "20.0"),
-            ("apply_bandwidth_rolloff", "b", "false")],
+            ("bandwidth_ghz", "inf", "inf")],
     "etalon": [("n_stages", "i", "3"), ("reflectivity", "f", "0.95"),
                ("fsr_ghz", "f", "17.0"), ("detuning_mhz", "f", "0.0"),
                ("loss", "f", "0.0"), ("temp_per_fsr_k", "f", "7.4"),
@@ -128,8 +127,6 @@ def _canon(value, kind):
         return "true" if value else "false"
     if kind == "rej":
         return ",".join(f"{f!r}:{db!r}" for f, db in value)
-    if kind == "inf" and value == float("inf"):
-        return "inf"
     return repr(float(value))
 
 
@@ -241,6 +238,10 @@ def _build(merged, stage_overrides):
         v_out_max=val("circuit", "v_out_max_v"),
         discharge_tau=si("circuit", "discharge_tau_ns", 1e-9),
         load_ohms=val("circuit", "load_ohm")))
+    if not circuit.r11 * circuit.c1 > 0:  # the ramp slope divides by it
+        raise ValidationError(
+            f"config [circuit]: r11_ohm = {val('circuit', 'r11_ohm')!r} times "
+            f"c1_nf = {val('circuit', 'c1_nf')!r} underflows to 0 s")
     gate = section_guard("circuit", lambda: GatePulse(
         t_on=si("circuit", "gate_on_ns", 1e-9),
         duration=si("circuit", "gate_len_ns", 1e-9)))
@@ -290,8 +291,7 @@ def _build(merged, stage_overrides):
         if_leak_db=val("mixer", "if_leak_db")))
     eom = section_guard("eom", lambda: ModulatorParams(
         v_pi=val("eom", "v_pi_v"), drive_scale=val("eom", "drive_scale"),
-        bandwidth_hz=si("eom", "bandwidth_ghz", 1e9),
-        apply_bandwidth_rolloff=val("eom", "apply_bandwidth_rolloff")))
+        bandwidth_hz=si("eom", "bandwidth_ghz", 1e9)))
     if not eom.bandwidth_hz > f_s:
         raise ValidationError(
             f"config [eom] bandwidth_ghz = {val('eom', 'bandwidth_ghz')!r} "

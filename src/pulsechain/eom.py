@@ -17,18 +17,16 @@ from .waveform import Waveform, _filter_real, one_pole_lowpass
 
 @dataclass(frozen=True)
 class ModulatorParams:
+    """A finite ``bandwidth_hz`` rolls the drive off; inf leaves it flat."""
+
     v_pi: float = 1.7
-    bandwidth_hz: float = 20e9
+    bandwidth_hz: float = np.inf
     drive_scale: float = 1.0     # electrical volts -> modulator volts
-    apply_bandwidth_rolloff: bool = False  # default: flat (f_S << bandwidth)
 
     def __post_init__(self):
-        if not (self.v_pi > 0):
-            raise ValidationError("ModulatorParams.v_pi must be > 0")
-        if not (self.bandwidth_hz > 0):
-            raise ValidationError("ModulatorParams.bandwidth_hz must be > 0")
-        if not (self.drive_scale > 0):
-            raise ValidationError("ModulatorParams.drive_scale must be > 0")
+        for name in ("v_pi", "bandwidth_hz", "drive_scale"):
+            if not getattr(self, name) > 0:
+                raise ValidationError(f"ModulatorParams.{name} must be > 0")
 
 
 def bessel_j(order, z):
@@ -85,9 +83,9 @@ def distortion_fraction(v_rf_over_v_pi):
 def phase_modulate(drive: Waveform, m: ModulatorParams) -> Waveform:
     """Pure phase modulation: envelope(t) = exp(i pi drive_scale v(t)/v_pi).
 
-    The output has exactly unit magnitude at every sample (power conserved).
-    Drives beyond 5*v_pi (after scaling) are rejected as outside the model's
-    sanity bound.
+    A finite ``m.bandwidth_hz`` first low-passes the scaled drive with one
+    pole.  The output has exactly unit magnitude at every sample (power
+    conserved); drives beyond the 5*v_pi sanity bound are rejected.
     """
     if not drive.is_real():
         raise ValidationError("phase_modulate: drive must be real-valued")
@@ -95,7 +93,7 @@ def phase_modulate(drive: Waveform, m: ModulatorParams) -> Waveform:
     if np.max(np.abs(v)) >= 5.0 * m.v_pi:
         raise ValidationError(
             "phase_modulate: |drive|*drive_scale exceeds the 5*v_pi sanity bound")
-    if m.apply_bandwidth_rolloff:
+    if np.isfinite(m.bandwidth_hz):
         v = _filter_real(v, drive.grid.dt, one_pole_lowpass(m.bandwidth_hz))
     env = np.exp(1j * np.pi * v / m.v_pi)
     env.flags.writeable = False

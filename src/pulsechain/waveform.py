@@ -354,8 +354,6 @@ def fit_exponential(w: Waveform, window, direction) -> FitResult:
     y = np.abs(w.samples[sl])
     if len(y) < 16:
         raise ValidationError("fit window must contain at least 16 samples")
-    t_win = g.t_start + g.dt * np.arange(sl.start, sl.stop)
-    t = t_win - t_win[0]
     # far from 1, an exact power of two brings the peak into [0.5, 1), so
     # no product in the fit under- or overflows; A and B are scaled back
     y_max = np.max(y)  # y >= 0
@@ -365,7 +363,8 @@ def fit_exponential(w: Waveform, window, direction) -> FitResult:
         y, y_max = np.ldexp(y, -shift), np.ldexp(y_max, -shift)
 
     _check_trend(y, sign, y_max)
-
+    t_win = g.t_start + g.dt * np.arange(sl.start, sl.stop)
+    t = t_win - t_win[0]
     b0 = _offset_estimate(y)
     z = y - b0
     zmax = np.max(z)

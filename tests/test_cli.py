@@ -152,6 +152,19 @@ def test_zero_overlap_refused_naming_the_key(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_ramp_time_constant_underflow_exit_1(tmp_path, capsys):
+    # r11_ohm * c1_nf flushes to 0: refused at parse time, no traceback
+    p = tmp_path / "r11.ini"
+    p.write_text("[circuit]\nr11_ohm = 1e-320\n")
+    out = tmp_path / "out"
+    assert main(["simulate", str(p), "--outdir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: config [circuit]: r11_ohm = 1e-320 times "
+                            "c1_nf = 3.9 underflows to 0 s\n")
+    assert not out.exists()
+
+
 def test_excite_with_pulse_file(cfg_file, tmp_path, capsys):
     gamma = 1 / 26.2e-9
     n = 2620  # 10 lifetimes of support

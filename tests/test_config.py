@@ -161,6 +161,29 @@ class TestValidation:
         with pytest.raises(ValidationError, match="unknown key 'n_orders'"):
             parse_config("[eom]\nn_orders = 3\n")
 
+    def test_rolloff_flag_removed(self):
+        # one key: a finite [eom] bandwidth_ghz rolls the drive off, and inf,
+        # the default, leaves it flat
+        with pytest.raises(ValidationError,
+                           match=r"\[eom\]: unknown key "
+                                 r"'apply_bandwidth_rolloff' \(known: "
+                                 r"bandwidth_ghz, drive_scale, v_pi_v\)"):
+            parse_config("[eom]\napply_bandwidth_rolloff = true\n")
+        assert default_config().eom.bandwidth_hz == float("inf")
+        assert default_config().kv["eom"]["bandwidth_ghz"] == "inf"
+        assert parse_config("[eom]\nbandwidth_ghz = 2\n").eom.bandwidth_hz \
+            == 2e9
+
+    @pytest.mark.parametrize("text", [
+        "[circuit]\nr11_ohm = 1e-320\n",
+        "[circuit]\nr11_ohm = 1e-250\nc1_nf = 1e-100\n"])
+    def test_ramp_time_constant_underflow_names_keys(self, text):
+        # r11 * c1 flushed to 0 divided the ramp slope by zero at run time
+        with pytest.raises(ValidationError,
+                           match=r"\[circuit\]: r11_ohm = .* times c1_nf = "
+                                 r".* underflows to 0 s"):
+            parse_config(text)
+
     def test_rejections_parse(self):
         cfg = parse_config("[bandpass]\nrejections_mhz_dbc = 100:60, 700:30\n")
         assert cfg.bandpass.rejections == ((100e6, 60.0), (700e6, 30.0))

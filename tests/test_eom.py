@@ -220,7 +220,7 @@ class TestDecompose:
 
 class TestBandwidthRolloff:
     def test_rolloff_attenuates_drive(self):
-        m = ModulatorParams(bandwidth_hz=1.5e9, apply_bandwidth_rolloff=True)
+        m = ModulatorParams(bandwidth_hz=1.5e9)
         field = phase_modulate(cw_drive(0.1), m)
         s = to_spectrum(field)
         k = np.argmin(np.abs(s.frequencies() - F_S))

@@ -10,9 +10,9 @@ import warnings
 import numpy as np
 import pytest
 
-from pulsechain import (AtomParams, EtalonParams, EtalonStack, TimeGrid,
-                        Waveform, atom, etalon, parse_config, run_chain,
-                        set_config_value)
+from pulsechain import (AtomParams, EtalonParams, EtalonStack, FitError,
+                        TimeGrid, Waveform, atom, etalon, fit_exponential,
+                        parse_config, run_chain, set_config_value)
 from pulsechain.eom import sideband_window
 from pulsechain.etalon import (_fft_frequencies, _filter_spectrum,
                                stack_transmission, with_thermal_jitter)
@@ -133,6 +133,22 @@ def test_covered_band_forms_no_power(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak / (16 * n) <= 1.2
+
+
+def test_rejected_fit_builds_no_time_axis():
+    # a window that _check_trend rejects costs |y| and its moving average,
+    # not the time-axis traces that only an accepted fit needs
+    n = 100_000
+    grid = TimeGrid(0.0, DT, n)
+    w = Waveform(grid=grid, samples=np.sin(np.linspace(0.0, 3.0, n)) + 2.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FitError, match="not monotone falling"):
+            fit_exponential(w, (grid.t_start, grid.t_end), "falling")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * n) <= 2.2
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import tracemalloc
 import warnings
 
@@ -364,6 +365,15 @@ def _tree_bytes(root):
             for name in sorted(os.listdir(root))}
 
 
+def _without_provenance(out):
+    """An :func:`_outcome` less what names the config: the reports among
+    the written files, or the report's ``provenance``."""
+    if isinstance(out, dict):
+        return {k: v for k, v in out.items() if not k.startswith("report")}
+    return out if out.startswith("error") else (
+        json.loads(out) | {"provenance": None})
+
+
 class TestFrontEndMemo:
     # one changed value per [grid] [circuit] [dds] [bandpass] [mixer] [eom]
     # key, each chosen to change the run's outcome: its report, or for the
@@ -385,7 +395,7 @@ class TestFrontEndMemo:
         ("mixer.conversion_gain", 1.1), ("mixer.lo_leak_db", -50.0),
         ("mixer.if_leak_db", -50.0),
         ("eom.v_pi_v", 1.8), ("eom.drive_scale", 0.3),
-        ("eom.bandwidth_ghz", 2.0), ("eom.apply_bandwidth_rolloff", "true"),
+        ("eom.bandwidth_ghz", 2.0),
     ]
 
     def test_key_list_covers_the_front_end_sections(self):
@@ -401,23 +411,13 @@ class TestFrontEndMemo:
         outdir = (lambda name: str(tmp_path / name)
                   if path == "circuit.discharge_tau_ns" else None)
         base = default_config()
-        if path == "eom.bandwidth_ghz":  # shapes the drive only with roll-off
-            base = set_config_value(base, "eom.apply_bandwidth_rolloff", "true")
         cfg = set_config_value(base, path, value)
         base_out = _outcome(base, outdir("base"))  # the memo holds it now
         warm = _outcome(cfg, outdir("warm"))
         pipeline._front_end.cache_clear()
         cold = _outcome(cfg, outdir("cold"))
         assert warm == cold
-
-        def strip(out):
-            if isinstance(out, dict):
-                return {k: v for k, v in out.items()
-                        if not k.startswith("report")}
-            return out if out.startswith("error") else (
-                json.loads(out) | {"provenance": None})
-
-        assert strip(cold) != strip(base_out)
+        assert _without_provenance(cold) != _without_provenance(base_out)
 
     def test_negative_zero_gate_start(self, cold_front_end):
         # -0.0 and 0.0 are one key of the memo; the report keeps the sign
@@ -478,6 +478,52 @@ class TestFrontEndMemo:
         assert run_chain(cfg).to_json() == expected
         assert np.array_equal(fe.sideband.view(np.int64),
                               spectrum.view(np.int64))
+
+
+class TestBackEndKeys:
+    # one changed value per [etalon] [detector] [atom] [run] key, each
+    # chosen to change the run's outcome: its report, with the thermal
+    # jitter on for the keys that act only through its draw, or for the
+    # responsivity, which moves the report only by rounding, its files
+    BACK_END_KEYS = [
+        ("etalon.n_stages", 2), ("etalon.reflectivity", 0.9),
+        ("etalon.fsr_ghz", 15.0), ("etalon.detuning_mhz", 50.0),
+        ("etalon.loss", 0.01), ("etalon.temp_per_fsr_k", 5.0),
+        ("etalon.temp_jitter_mk", 50.0), ("etalon.apply_temp_jitter", "true"),
+        ("etalon.stage2_reflectivity", 0.9), ("etalon.stage2_fsr_ghz", 15.0),
+        ("etalon.stage2_detuning_mhz", 50.0), ("etalon.stage2_loss", 0.01),
+        ("etalon.stage2_temp_per_fsr_k", 5.0),
+        ("detector.bandwidth_ghz", 0.5), ("detector.scope_bandwidth_ghz", 1.0),
+        ("detector.responsivity", 2.0),
+        ("atom.excited_lifetime_ns", 30.0), ("atom.lambda_overlap", 0.5),
+        ("atom.detuning_mhz", 10.0), ("atom.run_excitation", "false"),
+        ("run.seed", 1),
+    ]
+    JITTERED = {"run.seed", "etalon.temp_jitter_mk", "etalon.temp_per_fsr_k",
+                "etalon.stage2_temp_per_fsr_k"}
+
+    def test_key_lists_cover_every_key(self):
+        # a key that no list names, or that the schema has lost, fails here
+        paths = [path for path, _ in
+                 TestFrontEndMemo.FRONT_END_KEYS + self.BACK_END_KEYS]
+        listed = [re.sub(r"^etalon\.stage\d+_", "etalon.stage<N>_", path)
+                  for path in paths]
+        schema = []
+        for path in valid_parameter_paths():
+            m = re.fullmatch(r"etalon\.stage<N>_<(.*)>", path)
+            schema += ([f"etalon.stage<N>_{name}"
+                        for name in m.group(1).split("|")] if m else [path])
+        assert sorted(listed) == sorted(schema)
+
+    @pytest.mark.parametrize("path, value", BACK_END_KEYS)
+    def test_every_back_end_key_acts(self, tmp_path, path, value):
+        outdir = (lambda name: str(tmp_path / name)
+                  if path == "detector.responsivity" else None)
+        base = parse_config("[etalon]\napply_temp_jitter = true\n"
+                            if path in self.JITTERED else "")
+        base_out = _outcome(base, outdir("base"))
+        out = _outcome(set_config_value(base, path, value), outdir("changed"))
+        assert _without_provenance(out) != _without_provenance(base_out)
 
 
 class TestSweep:

@@ -5,6 +5,7 @@ benchmark against a parent checkout; print the record or append it to
 
     python3 tools/bench_matrix.py [--reps N] [--parent DIR --pairs K
                                    --seconds S] [--append FILE]
+    python3 tools/bench_matrix.py --summary [FILE]
 
 The matrix runs ``run_chain`` at 1e4, 1e5 and 1e6 samples (jitter on), with
 and without trace files, cold (the front-end memo cleared before each run)
@@ -38,6 +39,11 @@ A spread is kept as its median and [q1, q3], not as its runs, and the
 record is written with each dict or list of scalars (or of lists of
 scalars) on one line, so an entry is about 200 lines.  ``--append`` adds
 it to the end of the JSON list and leaves the earlier entries as written.
+
+``--summary`` runs nothing and writes nothing: it prints one line per entry
+of ``FILE`` (default ``BENCH_chain.json``), with the entry's short git and
+``src/`` sha, ``src_lines`` and the ``best_s`` of each matrix cell, blank
+where the entry lacks a field.
 """
 
 import argparse
@@ -312,6 +318,28 @@ def append(path, record):
         fh.write(f"{head}{sep} {_dumps(record, ' ')}\n]\n")
 
 
+def summary(path):
+    """Print the ``--summary`` table of the JSON list at ``path``."""
+    with open(path, encoding="utf-8") as fh:
+        entries = json.load(fh)
+    cells = [(n, traces, mode) for n in SIZES for traces in (False, True)
+             for mode in ("cold", "warm")]
+    rows = [["git", "src", "lines"]
+            + [f"1e{len(str(n)) - 1}{'+tr' if traces else ''} {mode}"
+               for n, traces, mode in cells]]
+    for e in entries:
+        best = {(c.get("n_samples"), c.get("traces"), c.get("mode")):
+                c.get("best_s") for c in e.get("matrix", [])}
+        rows.append([(e.get("git_sha") or "")[:7],
+                     (e.get("src_sha256") or "")[:7],
+                     str(e.get("src_lines", ""))]
+                    + ["" if best.get(c) is None else f"{best[c]:.4g}"
+                       for c in cells])
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    for row in rows:
+        print("  ".join(v.rjust(w) for v, w in zip(row, widths)))
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--reps", type=int, default=5)
@@ -319,8 +347,14 @@ def main():
     ap.add_argument("--pairs", type=int, default=5)
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--append", help="JSON list to append the record to")
+    ap.add_argument("--summary", nargs="?", metavar="FILE",
+                    const=os.path.join(ROOT, "BENCH_chain.json"),
+                    help="print one line per entry of a record list and exit")
     ap.add_argument("--cell", nargs=4, help=argparse.SUPPRESS)
     args = ap.parse_args()
+    if args.summary:
+        summary(args.summary)
+        return 0
     if args.parent and args.pairs < 2:
         ap.error("--pairs must be at least 2 for a spread")
     if args.cell:

@@ -29,6 +29,7 @@ _STAGE_KEY = re.compile(
 
 MAX_STAGES = 1000   # [etalon] n_stages: parsing builds every stage
 MAX_IMAGES = 1000   # [dds] n_images: parsing builds every image tone
+MAX_SAMPLES = 10**8  # [grid] n_samples: a run holds ~70 bytes per sample
 
 # kind: f float, i int, b bool, inf float-or-inf, rej rejection list
 _SCHEMA = {
@@ -222,7 +223,8 @@ def _build(merged, stage_overrides):
             raise ValidationError(f"config [{section}]: {exc}") from None
 
     for section, key, limit in (("etalon", "n_stages", MAX_STAGES),
-                                ("dds", "n_images", MAX_IMAGES)):
+                                ("dds", "n_images", MAX_IMAGES),
+                                ("grid", "n_samples", MAX_SAMPLES)):
         if val(section, key) > limit:
             raise ValidationError(
                 f"config [{section}] {key} = {val(section, key)} exceeds {limit}")

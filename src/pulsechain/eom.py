@@ -80,13 +80,9 @@ def distortion_fraction(v_rf_over_v_pi):
     return float(out[0]) if np.isscalar(v_rf_over_v_pi) else out
 
 
-def phase_modulate(drive: Waveform, m: ModulatorParams) -> Waveform:
-    """Pure phase modulation: envelope(t) = exp(i pi drive_scale v(t)/v_pi).
-
-    A finite ``m.bandwidth_hz`` first low-passes the scaled drive with one
-    pole.  The output has exactly unit magnitude at every sample (power
-    conserved); drives beyond the 5*v_pi sanity bound are rejected.
-    """
+def crystal_drive(drive: Waveform, m: ModulatorParams) -> Waveform:
+    """The voltage the crystal sees: drive_scale v(t), low-passed with one
+    pole when ``m.bandwidth_hz`` is finite; refused beyond 5*v_pi."""
     if not drive.is_real():
         raise ValidationError("phase_modulate: drive must be real-valued")
     v = drive.samples.real * m.drive_scale
@@ -95,7 +91,14 @@ def phase_modulate(drive: Waveform, m: ModulatorParams) -> Waveform:
             "phase_modulate: |drive|*drive_scale exceeds the 5*v_pi sanity bound")
     if np.isfinite(m.bandwidth_hz):
         v = _filter_real(v, drive.grid.dt, one_pole_lowpass(m.bandwidth_hz))
-    env = np.exp(1j * np.pi * v / m.v_pi)
+    v.flags.writeable = False
+    return Waveform(grid=drive.grid, samples=v, unit="V")
+
+
+def phase_modulate(drive: Waveform, m: ModulatorParams) -> Waveform:
+    """Pure phase modulation exp(i pi v(t)/v_pi), v the :func:`crystal_drive`:
+    exactly unit magnitude at every sample (power conserved)."""
+    env = np.exp(1j * np.pi * crystal_drive(drive, m).samples / m.v_pi)
     env.flags.writeable = False
     return Waveform(grid=drive.grid, samples=env, unit="sqrtW")
 

@@ -7,7 +7,6 @@ uses the frequency-domain response, so the cutoff ringdown emerges from the
 same model that sets the line width.
 """
 
-import bisect
 import warnings
 from dataclasses import dataclass, replace
 
@@ -212,7 +211,8 @@ def filter_pulse(field: Waveform, s: EtalonStack, pre_gain=None) -> Waveform:
     within +-FSR/2 of the stack's transmission peak nearest zero offset; if
     more than 1% of its energy lies outside that band a LeakageWarning is
     emitted (neighbouring FSR orders would alias through).  The output is
-    a new array: the leak check may read the spectrum after it is written.
+    a new array: the leak check reads the input spectrum after the output
+    is written.
     """
     return _filter_spectrum(_forward(field.samples), field.grid, field.unit,
                             s, pre_gain)
@@ -228,29 +228,19 @@ def _fft_frequencies(lo, hi, n, dt):
     return k * (1.0 / (n * dt))
 
 
-def _outside_fraction(power, df, i_peak, half_fsr):
-    """Fraction of the total ``power`` (FFT order, bins ``df`` apart) more
-    than ``half_fsr`` from bin ``i_peak``, frequencies built as
-    :func:`_fft_frequencies` builds them; 0 for a total of 0.  The inside is
-    one range of signed bins, found by bisection, so no mask is made."""
-    total = power.sum()
-    if not total > 0:
-        return 0.0
-    n = len(power)
-    k_min, k_max = -(n // 2), (n - 1) // 2
-    k_peak = i_peak - n if i_peak > k_max else i_peak
-    f_peak = k_peak * df
-
-    def inside(k):
-        return abs(k * df - f_peak) <= half_fsr
-
-    # first inside bin below the peak, first outside bin above it
-    lo = k_min + bisect.bisect(range(k_min, k_peak), False, key=inside)
-    end = k_peak + bisect.bisect(range(k_peak, k_max + 1), False,
-                                 key=lambda k: not inside(k))
-    a, b = lo % n, end % n  # the inside is [a, b), or wraps past n - 1
-    outside = power[:a].sum() + power[b:].sum() if a < b else power[b:a].sum()
-    return float(outside / total)
+def _leak_fraction(amps, grid, pre_gain, f_peak, half_fsr):
+    """Fraction of the power |pre_gain * amps|^2 (``amps`` as in
+    :func:`_filter_spectrum`) more than ``half_fsr`` from ``f_peak``; 0 for a
+    total of 0.  Summed block by block, so it holds O(block) temporaries."""
+    n = grid.n_samples
+    total = outside = 0.0
+    for lo, hi in _spans(n, _BINS):
+        fb = _fft_frequencies(lo, hi, n, grid.dt)
+        pre = 1.0 if pre_gain is None else pre_gain(fb)
+        pb = np.abs(pre * amps[lo:hi]) ** 2
+        total += pb.sum()
+        outside += pb[np.abs(fb - f_peak) > half_fsr].sum()
+    return float(outside / total) if total > 0 else 0.0
 
 
 def _filter_spectrum(amps, grid, unit, s: EtalonStack, pre_gain=None):
@@ -262,14 +252,14 @@ def _filter_spectrum(amps, grid, unit, s: EtalonStack, pre_gain=None):
     each block's gain and peak search and writes the filtered spectrum to a
     new array, transformed back in place; beside it the pass holds O(block)
     temporaries.  Only when +-FSR/2 about the peak misses part of the grid
-    can energy leak: then a second blocked pass forms the power
-    |pre * amps|^2 (one float per bin) for the leak fraction.
+    can energy leak: then a second blocked pass (:func:`_leak_fraction`)
+    sums the power |pre * amps|^2 inside and outside that band.
     """
     n = grid.n_samples
     df = 1.0 / (n * grid.dt)
     out = np.empty_like(amps)
     half_fsr = s.min_fsr_hz / 2.0
-    peak = (-1.0, 0)  # |h| and bin of the peak nearest the sideband
+    peak, f_peak = -1.0, 0.0  # |h| at the peak and its frequency
     for lo, hi in _spans(n, _BINS):
         fb = _fft_frequencies(lo, hi, n, grid.dt)
         h = stack_transmission(fb, s)
@@ -278,25 +268,17 @@ def _filter_spectrum(amps, grid, unit, s: EtalonStack, pre_gain=None):
         mag = np.abs(h)
         mag[np.abs(fb) > half_fsr] = -1.0
         k = int(np.argmax(mag))
-        if mag[k] > peak[0]:
-            peak = (mag[k], lo + k)
+        if mag[k] > peak:
+            peak, f_peak = mag[k], fb[k]
         np.multiply(1.0 if pre_gain is None else pre_gain(fb), h, out=h)
         if not np.all(np.isfinite(h)):
             raise ValidationError("filter_pulse: the gain is not finite")
         np.multiply(h, amps[lo:hi], out=out[lo:hi])
-    k_max = (n - 1) // 2
-    f_peak = (peak[1] - n if peak[1] > k_max else peak[1]) * df
-    # by the comparison _outside_fraction bisects on: when both ends of the
+    # by the comparison _leak_fraction masks with: when both ends of the
     # grid are inside, every bin is, and the fraction is exactly 0
-    if not all(abs(k * df - f_peak) <= half_fsr for k in (-(n // 2), k_max)):
-        power = np.empty(n)
-        for lo, hi in _spans(n, _BINS):
-            pre = 1.0 if pre_gain is None else pre_gain(
-                _fft_frequencies(lo, hi, n, grid.dt))
-            pb = power[lo:hi]
-            np.square(np.abs(pre * amps[lo:hi], out=pb), out=pb)
-        outside_frac = _outside_fraction(power, df, peak[1], half_fsr)
-        del power  # before the inverse transform allocates its scratch space
+    if not all(abs(k * df - f_peak) <= half_fsr
+               for k in (-(n // 2), (n - 1) // 2)):
+        outside_frac = _leak_fraction(amps, grid, pre_gain, f_peak, half_fsr)
         if outside_frac > 0.01:
             warnings.warn(
                 f"{outside_frac:.1%} of pulse energy lies beyond +-FSR/2 of "

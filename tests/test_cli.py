@@ -165,6 +165,16 @@ def test_ramp_time_constant_underflow_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sample_count_cap_exit_1(tmp_path, capsys):
+    # numpy refused 1e308 samples at run time, a numerical failure (exit 2)
+    p = tmp_path / "n.ini"
+    p.write_text("[grid]\nn_samples = 1e308\n")
+    assert main(["simulate", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config [grid] n_samples = ")
+    assert err.endswith(" exceeds 100000000\n")
+
+
 def test_excite_with_pulse_file(cfg_file, tmp_path, capsys):
     gamma = 1 / 26.2e-9
     n = 2620  # 10 lifetimes of support

@@ -9,6 +9,7 @@ from pulsechain import (ChainConfig, GatePulse, ValidationError, config_sha256,
                         default_config, parse_config, run_chain,
                         serialize_config, set_config_value,
                         valid_parameter_paths)
+from pulsechain.config import MAX_IMAGES, MAX_SAMPLES, MAX_STAGES
 
 
 class TestDefaults:
@@ -127,14 +128,17 @@ class TestValidation:
         parse_config("[circuit]\ngate_len_ns = 1.5\n")
 
     def test_count_keys_capped(self):
-        # the uncapped values build 1e9 stages or tones at parse time
-        for section, key in (("etalon", "n_stages"), ("dds", "n_images")):
-            for value in ("1001", "1e9"):
+        # the uncapped values build 1e9 stages or tones at parse time, or
+        # 1e9 samples' worth of traces (1e308 overflowed numpy's dimension)
+        for section, key, limit in (("etalon", "n_stages", MAX_STAGES),
+                                    ("dds", "n_images", MAX_IMAGES),
+                                    ("grid", "n_samples", MAX_SAMPLES)):
+            for value in (str(limit + 1), "1e9", "1e308"):
                 with pytest.raises(ValidationError,
                                    match=rf"\[{section}\] {key} = \d+ "
-                                         r"exceeds 1000"):
+                                         rf"exceeds {limit}$"):
                     parse_config(f"[{section}]\n{key} = {value}\n")
-            parse_config(f"[{section}]\n{key} = 1000\n")
+            parse_config(f"[{section}]\n{key} = {limit}\n")
 
     def test_sideband_window_narrower_than_a_bin(self):
         # f_S = 4 kHz used to run with a 680 Hz window on 1 MHz bins, and

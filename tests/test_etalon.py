@@ -13,7 +13,7 @@ from pulsechain import (EtalonParams, EtalonStack, LeakageWarning, TimeGrid,
                         with_thermal_jitter)
 from pulsechain.eom import sideband_window
 from pulsechain import pipeline
-from pulsechain.etalon import _BINS, _outside_fraction, _phasor
+from pulsechain.etalon import _BINS, _leak_fraction, _phasor
 from pulsechain.waveform import to_spectrum
 from spectral_oracle import filter_spectrum
 
@@ -426,9 +426,9 @@ def reference_outside(f, h, power, min_fsr_hz):
 
 
 class TestLeakAccounting:
-    """The outside fraction from slices of the power, against the whole
-    mask; a power of order one in every bin makes a bin moved across the
-    mask edge show as 1/n."""
+    """The outside fraction summed block by block, against the whole mask;
+    a power of order one in every bin makes a bin moved across the mask
+    edge show as 1/n."""
 
     @pytest.mark.parametrize("n", [1000, 1001, 3 * _BINS + 7, 3 * _BINS + 8])
     @pytest.mark.parametrize("stack", [
@@ -443,10 +443,11 @@ class TestLeakAccounting:
     def test_matches_the_mask(self, n, stack):
         f = np.fft.fftfreq(n, GRID.dt)
         h = stack_transmission(f, stack)
-        power = np.random.default_rng(n).random(n) + 0.5
+        amps = np.sqrt(np.random.default_rng(n).random(n) + 0.5) + 0j
+        power = np.abs(amps) ** 2
         i_peak, ref = reference_outside(f, h, power, stack.min_fsr_hz)
-        got = _outside_fraction(power, 1.0 / (n * GRID.dt), i_peak,
-                                stack.min_fsr_hz / 2.0)
+        got = _leak_fraction(amps, TimeGrid(0.0, GRID.dt, n), None, f[i_peak],
+                             stack.min_fsr_hz / 2.0)
         assert got == pytest.approx(ref, rel=1e-12, abs=0)
         assert 0.0 < ref < 1.0
 
@@ -457,16 +458,19 @@ class TestLeakAccounting:
                                  cfg.bandpass, cfg.mixer, cfg.eom, False)
         n = cfg.grid.n_samples
         f = np.fft.fftfreq(n, cfg.grid.dt)
-        power = np.abs(sideband_window(fe.f_s)(f) * fe.sideband) ** 2
+        window = sideband_window(fe.f_s)
+        power = np.abs(window(f) * fe.sideband) ** 2
         h = stack_transmission(f, cfg.etalon)
         i_peak, ref = reference_outside(f, h, power, cfg.etalon.min_fsr_hz)
-        got = _outside_fraction(power, 1.0 / (n * cfg.grid.dt), i_peak,
-                                cfg.etalon.min_fsr_hz / 2.0)
+        got = _leak_fraction(fe.sideband, cfg.grid, window, f[i_peak],
+                             cfg.etalon.min_fsr_hz / 2.0)
         assert got == pytest.approx(ref, rel=1e-12, abs=0)
         assert f"{got:.1%}" == "4.4%"
 
     def test_total_of_zero(self):
-        assert _outside_fraction(np.zeros(1001), 1e7, 3, 2e9) == 0.0
+        grid = TimeGrid(0.0, 1e-10, 1001)
+        assert _leak_fraction(np.zeros(1001, complex), grid, None, 3e7,
+                              2e9) == 0.0
 
 
 @pytest.mark.skipif(

@@ -100,19 +100,20 @@ def test_narrow_fsr_run_still_warns():
 def test_narrow_fsr_leak_matches_the_whole_power(chain, monkeypatch,
                                                  detuning_mhz):
     # +-FSR/2 of a 100 MHz FSR misses most of the grid, so the leak check
-    # forms the power; with 30 MHz of detuning the peak sits off centre, at
+    # sums the power; with 30 MHz of detuning the peak sits off centre, at
     # -30 MHz.  Its fraction and warning text are those of the whole power
-    # array as one pass formed it
+    # array under one mask
     cfg, field, f_s = chain
     stack = parse_config(f"[etalon]\nfsr_ghz = 0.1\n"
                          f"detuning_mhz = {detuning_mhz}\n").etalon
-    calls, fraction = [], etalon._outside_fraction
+    calls, leak_fraction = [], etalon._leak_fraction
 
-    def outside(power, *args):
-        calls.append((power.copy(), *args))
-        return fraction(power, *args)
+    def spy(amps, grid, pre_gain, f_peak, half_fsr):
+        got = leak_fraction(amps, grid, pre_gain, f_peak, half_fsr)
+        calls.append((f_peak, half_fsr, got))
+        return got
 
-    monkeypatch.setattr(etalon, "_outside_fraction", outside)
+    monkeypatch.setattr(etalon, "_leak_fraction", spy)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         one_pass(field, f_s, stack)
@@ -123,11 +124,11 @@ def test_narrow_fsr_leak_matches_the_whole_power(chain, monkeypatch,
     near = np.flatnonzero(np.abs(f) <= 50e6)
     i_peak = near[int(np.argmax(np.abs(stack_transmission(f[near], stack))))]
     assert f[i_peak] == pytest.approx(-detuning_mhz * 1e6, abs=1 / (n * dt))
-    frac = fraction(power, 1 / (n * dt), i_peak, 50e6)
+    frac = float(power[np.abs(f - f[i_peak]) > 50e6].sum() / power.sum())
     assert frac > 0.01
-    [(got, df, got_peak, half_fsr)] = calls
-    assert got.tobytes() == power.tobytes()
-    assert (df, got_peak, half_fsr) == (1 / (n * dt), i_peak, 50e6)
+    [(f_peak, half_fsr, got)] = calls
+    assert (f_peak, half_fsr) == (f[i_peak], 50e6)
+    assert got == pytest.approx(frac, rel=1e-12, abs=0)
     assert [str(c.message) for c in caught] == [
         f"{frac:.1%} of pulse energy lies beyond +-FSR/2 of the cascade "
         f"transmission peak"]

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from pulsechain import (EtalonStack, GatePulse, LeakageWarning, RunReport,
-                        ValidationError, Waveform, default_config, fit_trace,
+                        ValidationError, Waveform, bessel_j, default_config,
+                        distortion_fraction, fit_trace, one_pole_lowpass,
                         parse_config, pipeline, read_trace, run_chain,
                         set_config_value, stack_extinction_db, sweep,
                         valid_parameter_paths)
 from pulsechain.cli import main
+from spectral_oracle import apply_transfer
 
 
 def read_bytes(path):
@@ -110,6 +112,34 @@ class TestSpecialConfigs:
         rep = run_chain(set_config_value(default_config(),
                                          "etalon.n_stages", 1)).data
         assert 20.0 <= rep["etalon"]["cascade_extinction_db"] <= 22.0
+
+    def test_eom_block_reads_the_rolled_off_drive(self, cold_front_end):
+        # a 2 GHz modulator passes the 1.5 GHz carrier at |H| = 0.8: the
+        # block describes the drive the crystal sees, not the electrical
+        # one, and without a roll-off the two are equal bit for bit
+        for bandwidth, x_shown in ((2.0, 0.0802530), (np.inf, 0.1014704)):
+            cfg = parse_config(f"[eom]\nbandwidth_ghz = {bandwidth}\n")
+            fe = pipeline._front_end(cfg.circuit, cfg.gate, cfg.grid, cfg.dds,
+                                     cfg.bandpass, cfg.mixer, cfg.eom, True)
+            rf, eom = dict(fe.taps)["rf_drive.csv"], fe.eom
+            v = Waveform(grid=rf.grid,
+                         samples=rf.samples * cfg.eom.drive_scale)
+            if np.isfinite(bandwidth):
+                v = apply_transfer(v, one_pole_lowpass(bandwidth * 1e9))
+            else:
+                assert eom["x_peak_vrf_over_vpi"] == (
+                    cfg.eom.drive_scale * float(np.max(np.abs(rf.samples)))
+                    / cfg.eom.v_pi)
+            x = float(np.max(np.abs(v.samples.real))) / cfg.eom.v_pi
+            assert eom["x_peak_vrf_over_vpi"] == pytest.approx(x, rel=1e-12)
+            assert eom["x_peak_vrf_over_vpi"] == pytest.approx(x_shown,
+                                                               abs=1e-7)
+            assert eom["carrier_j0"] == pytest.approx(
+                bessel_j(0, np.pi * x), rel=1e-12)
+            assert eom["sideband_j1"] == pytest.approx(
+                bessel_j(1, np.pi * x), rel=1e-12)
+            assert eom["distortion_fraction"] == pytest.approx(
+                distortion_fraction(x), rel=1e-9)
 
     def test_zero_length_gate_degenerate(self):
         # a gate too short for the grid never runs: parsing refuses it,
@@ -524,6 +554,33 @@ class TestBackEndKeys:
         base_out = _outcome(base, outdir("base"))
         out = _outcome(set_config_value(base, path, value), outdir("changed"))
         assert _without_provenance(out) != _without_provenance(base_out)
+
+
+class TestEdgeValues:
+    # every key, one at a time, at values that sit on or past the edges of
+    # its range; the two key lists above hold each schema key once, with
+    # stage<N> as stage2
+    VALUES = ["0", "-0.0", "-1", "1e-300", "1e-320", "1e308", "inf", "-inf",
+              "nan", "3", "0.5"]
+    PATHS = [path for path, _ in
+             TestFrontEndMemo.FRONT_END_KEYS + TestBackEndKeys.BACK_END_KEYS]
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_named_error_or_a_report(self, path):
+        # the outcome is the contract: numpy's warnings on the way to a
+        # refusal are not, and a leaking stack warns by design
+        sections = "|".join(sorted({p.split(".")[0] for p in self.PATHS}))
+        unnamed = []
+        for value in self.VALUES:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    run_chain(set_config_value(default_config(), path,
+                                               value)).to_json()
+            except ValidationError as exc:
+                if not re.search(rf"\[({sections})\]", str(exc)):
+                    unnamed.append((value, str(exc)))
+        assert unnamed == []
 
 
 class TestSweep:

@@ -40,10 +40,11 @@ record is written with each dict or list of scalars (or of lists of
 scalars) on one line, so an entry is about 200 lines.  ``--append`` adds
 it to the end of the JSON list and leaves the earlier entries as written.
 
-``--summary`` runs nothing and writes nothing: it prints one line per entry
-of ``FILE`` (default ``BENCH_chain.json``), with the entry's short git and
-``src/`` sha, ``src_lines`` and the ``best_s`` of each matrix cell, blank
-where the entry lacks a field.
+``--summary`` runs nothing and writes nothing: it prints two tables of
+``FILE`` (default ``BENCH_chain.json``), ``best_s`` and ``minflt_per_run``,
+each with one line per entry: the entry's short git and ``src/`` sha,
+``src_lines`` and that field of each matrix cell, blank where the entry
+lacks it.
 """
 
 import argparse
@@ -319,25 +320,29 @@ def append(path, record):
 
 
 def summary(path):
-    """Print the ``--summary`` table of the JSON list at ``path``."""
+    """Print the ``--summary`` tables of the JSON list at ``path``."""
     with open(path, encoding="utf-8") as fh:
         entries = json.load(fh)
     cells = [(n, traces, mode) for n in SIZES for traces in (False, True)
              for mode in ("cold", "warm")]
-    rows = [["git", "src", "lines"]
-            + [f"1e{len(str(n)) - 1}{'+tr' if traces else ''} {mode}"
-               for n, traces, mode in cells]]
-    for e in entries:
-        best = {(c.get("n_samples"), c.get("traces"), c.get("mode")):
-                c.get("best_s") for c in e.get("matrix", [])}
-        rows.append([(e.get("git_sha") or "")[:7],
-                     (e.get("src_sha256") or "")[:7],
-                     str(e.get("src_lines", ""))]
-                    + ["" if best.get(c) is None else f"{best[c]:.4g}"
-                       for c in cells])
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    for row in rows:
-        print("  ".join(v.rjust(w) for v, w in zip(row, widths)))
+    for k, (field, fmt) in enumerate((("best_s", "{:.4g}"),
+                                      ("minflt_per_run", "{:.0f}"))):
+        rows = [["git", "src", "lines"]
+                + [f"1e{len(str(n)) - 1}{'+tr' if traces else ''} {mode}"
+                   for n, traces, mode in cells]]
+        for e in entries:
+            got = {(c.get("n_samples"), c.get("traces"), c.get("mode")):
+                   c.get(field) for c in e.get("matrix", [])}
+            rows.append([(e.get("git_sha") or "")[:7],
+                         (e.get("src_sha256") or "")[:7],
+                         str(e.get("src_lines", ""))]
+                        + ["" if got.get(c) is None else fmt.format(got[c])
+                           for c in cells])
+        widths = [max(len(row[i]) for row in rows)
+                  for i in range(len(rows[0]))]
+        print(("\n" if k else "") + field)
+        for row in rows:
+            print("  ".join(v.rjust(w) for v, w in zip(row, widths)))
 
 
 def main():

@@ -1,13 +1,16 @@
 """Chain configuration: INI-style sections with unit-suffixed keys.
 
 Every physical key carries its unit in the name (tau_ns, fsr_ghz, ...) to
-keep unit errors out of config files.  Unknown sections or keys are errors,
-every value is validated against the owning module's invariants before any
-simulation runs, and serialization is canonical (fixed section/key order,
-normalized number formatting) so identical configs hash identically.
+keep unit errors out of config files, and that suffix alone sets its SI
+scale (``_SCALES``; a key without one is in SI units).  Unknown sections or
+keys are errors, every value is validated against the owning module's
+invariants before any simulation runs, a refusal names its section and
+key, and serialization is canonical (fixed section/key order, normalized
+number formatting) so identical configs hash identically.
 """
 
 import configparser
+import functools
 import hashlib
 import io
 import math
@@ -24,8 +27,16 @@ from .rfchain import (BandpassSpec, DdsParams, MixerParams, carrier_tones,
                       dominant_tone, resolves_carrier)
 from .waveform import TimeGrid
 
-_STAGE_KEY = re.compile(
-    r"^stage(\d+)_(reflectivity|fsr_ghz|detuning_mhz|loss|temp_per_fsr_k)$")
+# a key's unit suffix -> its SI scale; a key without one is in SI units
+_SCALES = {"ns": 1e-9, "nf": 1e-9, "mv": 1e-3, "ma": 1e-3, "mk": 1e-3,
+           "mhz": 1e6, "ghz": 1e9}
+
+# EtalonParams field -> the [etalon] key, for all stages or stage<N>_ one
+_STAGE_FIELDS = {"reflectivity": "reflectivity", "fsr_hz": "fsr_ghz",
+                 "detuning_hz": "detuning_mhz", "loss": "loss",
+                 "temp_per_fsr_k": "temp_per_fsr_k"}
+_STAGE_KEY = re.compile(rf"^stage(\d+)_({'|'.join(_STAGE_FIELDS.values())})$")
+_FIELD = re.compile(r"\b[A-Z]\w*\.(\w+)")  # a type's "Cls.field" in its error
 
 MAX_STAGES = 1000   # [etalon] n_stages: parsing builds every stage
 MAX_IMAGES = 1000   # [dds] n_images: parsing builds every image tone
@@ -94,14 +105,29 @@ def _parse_number(section, key, raw, kind):
         raise ValidationError(f"config [{section}] {key} = {raw!r}: {exc}") from None
 
 
-def _si(key, value, scale):
-    """A config value in SI units.  A finite value that the unit factor
-    overflows, or flushes to zero, is rejected; an ``inf``-kind infinity
-    stays infinite."""
+def _si(section, key, value, scale):
+    """``value * scale``.  A finite value that the unit factor overflows, or
+    flushes to zero, is rejected; an ``inf``-kind infinity stays infinite."""
     x = value * scale
     if (math.isinf(x) and not math.isinf(value)) or (x == 0 and value != 0):
-        raise ValidationError(f"{key} = {value!r} is out of range in SI units")
+        raise ValidationError(f"config [{section}]: {key} = {value!r} is out "
+                              "of range in SI units")
     return x
+
+
+@functools.lru_cache(maxsize=4096)
+def _read(section, key, kind, raw):
+    """A key's canonical text and its value in SI units, scaled by its unit
+    suffix.  Memoised: each point of a sweep rebuilds a config whose other
+    keys keep their texts."""
+    if kind == "rej":  # mhz:dbc pairs
+        val = _parse_rejections(section, key, raw)
+        return _canon(val, kind), tuple((_si(section, key, f, 1e6), db)
+                                        for f, db in val)
+    val = _parse_number(section, key, raw, kind)
+    scale = _SCALES.get(key.rpartition("_")[2])
+    return _canon(val, kind), (val if scale is None
+                               else _si(section, key, val, scale))
 
 
 def _parse_rejections(section, key, raw):
@@ -174,197 +200,158 @@ class ChainConfig:
 
 
 def _merge_with_defaults(sections):
-    merged = {}
-    stage_overrides = {}
+    """Each section's canonical key texts, in schema order with the
+    ``stage<N>_`` overrides last by index and name, and their values in SI
+    units; unknown sections and keys are refused."""
+    kv, si = {}, {}
     for section, items in _SCHEMA.items():
-        merged[section] = {}
         provided = sections.get(section, {})
         known = {k for k, _, _ in items}
+        entries = [(key, kind, key, provided.get(key, default))
+                   for key, kind, default in items]
+        overrides = {}
         for key, raw in provided.items():
-            if key in known:
-                continue
-            if section == "etalon" and _STAGE_KEY.match(key):
-                continue
-            raise ValidationError(
-                f"config [{section}]: unknown key {key!r} "
-                f"(known: {', '.join(sorted(known))})")
-        for key, kind, default in items:
-            raw = provided.get(key, default)
-            if kind == "rej":
-                val = _parse_rejections(section, key, raw)
-            else:
-                val = _parse_number(section, key, raw, kind)
-            merged[section][key] = (val, kind)
+            m = section == "etalon" and _STAGE_KEY.match(key)
+            if m:  # stage02_loss overrides stage 2 as stage2_loss
+                overrides[int(m[1]), m[2]] = (key, raw)
+            elif key not in known:
+                raise ValidationError(
+                    f"config [{section}]: unknown key {key!r} "
+                    f"(known: {', '.join(sorted(known))})")
+        entries += [(f"stage{i}_{name}", "f", key, raw)
+                    for (i, name), (key, raw) in sorted(overrides.items())]
+        kv[section], si[section] = {}, {}
+        for name, kind, key, raw in entries:
+            kv[section][name], si[section][name] = _read(section, key, kind,
+                                                         str(raw))
     for section in sections:
         if section not in _SCHEMA:
             raise ValidationError(
                 f"config: unknown section [{section}] "
                 f"(known: {', '.join(_SCHEMA)})")
-    for key, raw in sections.get("etalon", {}).items():
-        m = _STAGE_KEY.match(key)
-        if m:
-            idx = int(m.group(1))
-            stage_overrides.setdefault(idx, {})[m.group(2)] = _parse_number(
-                "etalon", key, raw, "f")
-    return merged, stage_overrides
+    return kv, si
 
 
-def _build(merged, stage_overrides):
-    def val(section, key):
-        return merged[section][key][0]
-
-    def si(section, key, scale):
-        return _si(key, val(section, key), scale)
-
-    def section_guard(section, fn):
+def _build(kv, si):
+    def block(cls, section, **fields):
+        """``cls`` with each field at its [section] key's SI value; a
+        ``Cls.field`` in a refusal is named as ``key = value``."""
         try:
-            return fn()
+            return cls(**{f: si[section][key] for f, key in fields.items()})
         except ValidationError as exc:
-            raise ValidationError(f"config [{section}]: {exc}") from None
+            def named(m):
+                key = fields.get(m[1])
+                return m[0] if key is None else f"{key} = {kv[section][key]}"
+            raise ValidationError(f"config [{section}]: "
+                                  + _FIELD.sub(named, str(exc))) from None
 
+    g, c, d, b = kv["grid"], kv["circuit"], kv["dds"], kv["bandpass"]
     for section, key, limit in (("etalon", "n_stages", MAX_STAGES),
                                 ("dds", "n_images", MAX_IMAGES),
                                 ("grid", "n_samples", MAX_SAMPLES)):
-        if val(section, key) > limit:
+        if si[section][key] > limit:
             raise ValidationError(
-                f"config [{section}] {key} = {val(section, key)} exceeds {limit}")
-    grid = section_guard("grid", lambda: TimeGrid(
-        t_start=si("grid", "t_start_ns", 1e-9),
-        dt=si("grid", "dt_ns", 1e-9),
-        n_samples=val("grid", "n_samples")))
-    circuit = section_guard("circuit", lambda: CircuitParams(
-        i0=val("circuit", "i0_a"), v_t=si("circuit", "v_t_mv", 1e-3),
-        c1=si("circuit", "c1_nf", 1e-9), r11=val("circuit", "r11_ohm"),
-        v_in=val("circuit", "v_in_v"), v_drop=val("circuit", "v_drop_v"),
-        i_c_max=si("circuit", "i_c_max_ma", 1e-3),
-        v_out_max=val("circuit", "v_out_max_v"),
-        discharge_tau=si("circuit", "discharge_tau_ns", 1e-9),
-        load_ohms=val("circuit", "load_ohm")))
+                f"config [{section}] {key} = {kv[section][key]} exceeds {limit}")
+    grid = block(TimeGrid, "grid", t_start="t_start_ns", dt="dt_ns",
+                 n_samples="n_samples")
+    circuit = block(CircuitParams, "circuit", i0="i0_a", v_t="v_t_mv",
+                    c1="c1_nf", r11="r11_ohm", v_in="v_in_v",
+                    v_drop="v_drop_v", i_c_max="i_c_max_ma",
+                    v_out_max="v_out_max_v", discharge_tau="discharge_tau_ns",
+                    load_ohms="load_ohm")
     if not circuit.r11 * circuit.c1 > 0:  # the ramp slope divides by it
         raise ValidationError(
-            f"config [circuit]: r11_ohm = {val('circuit', 'r11_ohm')!r} times "
-            f"c1_nf = {val('circuit', 'c1_nf')!r} underflows to 0 s")
-    gate = section_guard("circuit", lambda: GatePulse(
-        t_on=si("circuit", "gate_on_ns", 1e-9),
-        duration=si("circuit", "gate_len_ns", 1e-9)))
-    dds = section_guard("dds", lambda: DdsParams(
-        f_clk=si("dds", "f_clk_mhz", 1e6),
-        f_tune=si("dds", "f_tune_mhz", 1e6),
-        n_images=val("dds", "n_images")))
-    bandpass = section_guard("bandpass", lambda: BandpassSpec(
-        f_center=si("bandpass", "f_center_mhz", 1e6),
-        rejections=tuple((_si("rejections_mhz_dbc", f, 1e6), db)
-                         for f, db in val("bandpass", "rejections_mhz_dbc")),
-        passband_loss_db=val("bandpass", "passband_loss_db")))
+            f"config [circuit]: r11_ohm = {c['r11_ohm']} times c1_nf = "
+            f"{c['c1_nf']} underflows to 0 s")
+    gate = block(GatePulse, "circuit", t_on="gate_on_ns",
+                 duration="gate_len_ns")
+    dds = block(DdsParams, "dds", f_clk="f_clk_mhz", f_tune="f_tune_mhz",
+                n_images="n_images")
+    bandpass = block(BandpassSpec, "bandpass", f_center="f_center_mhz",
+                     rejections="rejections_mhz_dbc",
+                     passband_loss_db="passband_loss_db")
     if not gate_in_grid(gate, grid):
         raise ValidationError(
-            f"config [grid]: dt_ns = {val('grid', 'dt_ns')!r} with "
-            f"n_samples = {grid.n_samples} and t_start_ns = "
-            f"{val('grid', 't_start_ns')!r} spans [{grid.t_start:g}, "
-            f"{grid.t_end:g}] s, which does not contain the gate "
-            f"[{gate.t_on:g}, {gate.t_off:g}] s of [circuit] gate_on_ns = "
-            f"{val('circuit', 'gate_on_ns')!r}, gate_len_ns = "
-            f"{val('circuit', 'gate_len_ns')!r}")
+            f"config [grid]: dt_ns = {g['dt_ns']} with n_samples = "
+            f"{g['n_samples']} and t_start_ns = {g['t_start_ns']} spans "
+            f"[{grid.t_start:g}, {grid.t_end:g}] s, which does not contain "
+            f"the gate [{gate.t_on:g}, {gate.t_off:g}] s of [circuit] "
+            f"gate_on_ns = {c['gate_on_ns']}, gate_len_ns = "
+            f"{c['gate_len_ns']}")
     on = grid.window_slice(gate.t_on, gate.t_off)
     n_gate = on.stop - on.start
     if n_gate < MIN_GATE_SAMPLES:
         raise ValidationError(
-            f"config [grid]: dt_ns = {val('grid', 'dt_ns')!r} puts fewer "
-            f"than {MIN_GATE_SAMPLES} samples ({n_gate}) in the gate of "
-            f"[circuit] gate_len_ns = {val('circuit', 'gate_len_ns')!r}")
-    f_s = dominant_tone(section_guard(
-        "bandpass", lambda: carrier_tones(dds, bandpass))[1])[0]
+            f"config [grid]: dt_ns = {g['dt_ns']} puts fewer than "
+            f"{MIN_GATE_SAMPLES} samples ({n_gate}) in the gate of [circuit] "
+            f"gate_len_ns = {c['gate_len_ns']}")
+    try:
+        f_s = dominant_tone(carrier_tones(dds, bandpass)[1])[0]
+    except ValidationError:  # every tone's amplitude is 0
+        raise ValidationError(
+            f"config [bandpass]: passband_loss_db = {b['passband_loss_db']} "
+            f"with rejections_mhz_dbc = {b['rejections_mhz_dbc']} leaves the "
+            "DDS tones no power") from None
     if not resolves_carrier(f_s, grid.dt):
         raise ValidationError(
-            f"config [grid]: dt_ns = {val('grid', 'dt_ns')!r} gives fewer "
-            f"than 4 samples per cycle of the carrier f_S = {f_s:g} Hz that "
-            f"[dds] f_clk_mhz = {val('dds', 'f_clk_mhz')!r}, f_tune_mhz = "
-            f"{val('dds', 'f_tune_mhz')!r} and [bandpass] f_center_mhz = "
-            f"{val('bandpass', 'f_center_mhz')!r} select")
+            f"config [grid]: dt_ns = {g['dt_ns']} gives fewer than 4 samples "
+            f"per cycle of the carrier f_S = {f_s:g} Hz that [dds] f_clk_mhz "
+            f"= {d['f_clk_mhz']}, f_tune_mhz = {d['f_tune_mhz']} and "
+            f"[bandpass] f_center_mhz = {b['f_center_mhz']} select")
     if not window_spans_bin(f_s, grid):
         raise ValidationError(
-            f"config [dds]: f_tune_mhz = {val('dds', 'f_tune_mhz')!r} with "
-            f"[bandpass] gives f_S = {f_s:g} Hz, whose sideband window is less "
-            f"than one frequency bin of [grid] n_samples = {grid.n_samples}, "
-            f"dt_ns = {val('grid', 'dt_ns')!r}")
-    mixer = section_guard("mixer", lambda: MixerParams(
-        conversion_gain=val("mixer", "conversion_gain"),
-        lo_leak_db=val("mixer", "lo_leak_db"),
-        if_leak_db=val("mixer", "if_leak_db")))
-    eom = section_guard("eom", lambda: ModulatorParams(
-        v_pi=val("eom", "v_pi_v"), drive_scale=val("eom", "drive_scale"),
-        bandwidth_hz=si("eom", "bandwidth_ghz", 1e9)))
+            f"config [dds]: f_tune_mhz = {d['f_tune_mhz']} with [bandpass] "
+            f"gives f_S = {f_s:g} Hz, whose sideband window is less than one "
+            f"frequency bin of [grid] n_samples = {g['n_samples']}, dt_ns = "
+            f"{g['dt_ns']}")
+    mixer = block(MixerParams, "mixer", conversion_gain="conversion_gain",
+                  lo_leak_db="lo_leak_db", if_leak_db="if_leak_db")
+    eom = block(ModulatorParams, "eom", v_pi="v_pi_v",
+                drive_scale="drive_scale", bandwidth_hz="bandwidth_ghz")
     if not eom.bandwidth_hz > f_s:
         raise ValidationError(
-            f"config [eom] bandwidth_ghz = {val('eom', 'bandwidth_ghz')!r} "
-            f"must exceed the carrier f_S = {f_s:g} Hz that [dds] and "
-            "[bandpass] select")
+            f"config [eom] bandwidth_ghz = {kv['eom']['bandwidth_ghz']} must "
+            f"exceed the carrier f_S = {f_s:g} Hz that [dds] and [bandpass] "
+            "select")
 
-    def make_stack():
-        n = val("etalon", "n_stages")
-        if n < 1:
-            raise ValidationError("n_stages must be >= 1")
-        for idx in stage_overrides:
-            if not 1 <= idx <= n:
-                raise ValidationError(
-                    f"stage override index {idx} outside 1..{n}")
-
-        def stage(i, name, scale=1.0):
-            # a stage<i>_<name> override, else the [etalon] <name> default
-            over = stage_overrides.get(i, {})
-            key = f"stage{i}_{name}" if name in over else name
-            return _si(key, over.get(name, val("etalon", name)), scale)
-
-        stages = [EtalonParams(
-            reflectivity=stage(i, "reflectivity"),
-            fsr_hz=stage(i, "fsr_ghz", 1e9),
-            detuning_hz=stage(i, "detuning_mhz", 1e6),
-            loss=stage(i, "loss"),
-            temp_per_fsr_k=stage(i, "temp_per_fsr_k"),
-            temp_jitter_k=si("etalon", "temp_jitter_mk", 1e-3))
-            for i in range(1, n + 1)]
-        return EtalonStack(stages=tuple(stages))
-
-    etalon_stack = section_guard("etalon", make_stack)
-    detector = section_guard("detector", lambda: DetectorParams(
-        bandwidth_hz=si("detector", "bandwidth_ghz", 1e9),
-        scope_bandwidth_hz=si("detector", "scope_bandwidth_ghz", 1e9),
-        responsivity=val("detector", "responsivity")))
-    lifetime_ns = val("atom", "excited_lifetime_ns")
-    if not (lifetime_ns > 0):
-        raise ValidationError("config [atom]: excited_lifetime_ns must be > 0")
-    gamma = section_guard(
-        "atom", lambda: 1.0 / si("atom", "excited_lifetime_ns", 1e-9))
-    if math.isinf(gamma):
-        raise ValidationError(
-            f"config [atom]: excited_lifetime_ns = {lifetime_ns!r} gives an "
-            "infinite decay rate")
-    atom = section_guard("atom", lambda: AtomParams(
-        gamma=gamma, lambda_overlap=val("atom", "lambda_overlap"),
-        detuning_hz=si("atom", "detuning_mhz", 1e6)))
+    n = si["etalon"]["n_stages"]
+    if n < 1:
+        raise ValidationError(f"config [etalon]: n_stages = {n} must be >= 1")
+    for key in si["etalon"]:
+        m = _STAGE_KEY.match(key)
+        if m and not 1 <= int(m[1]) <= n:
+            raise ValidationError(
+                f"config [etalon]: {key} = {kv['etalon'][key]} is a stage "
+                f"override outside n_stages = {n}")
+    etalon = EtalonStack(stages=tuple(block(  # stage i's own key, else all's
+        EtalonParams, "etalon", temp_jitter_k="temp_jitter_mk",
+        **{f: f"stage{i}_{k}" if f"stage{i}_{k}" in si["etalon"] else k
+           for f, k in _STAGE_FIELDS.items()}) for i in range(1, n + 1)))
+    detector = block(DetectorParams, "detector", bandwidth_hz="bandwidth_ghz",
+                     scope_bandwidth_hz="scope_bandwidth_ghz",
+                     responsivity="responsivity")
+    lifetime = si["atom"]["excited_lifetime_ns"]
+    shown = ("config [atom]: excited_lifetime_ns = "
+             + kv["atom"]["excited_lifetime_ns"])
+    if not lifetime > 0:
+        raise ValidationError(f"{shown} must be > 0")
+    if math.isinf(1.0 / lifetime):
+        raise ValidationError(f"{shown} gives an infinite decay rate")
+    atom = block(functools.partial(AtomParams, 1.0 / lifetime), "atom",
+                 lambda_overlap="lambda_overlap", detuning_hz="detuning_mhz")
     if not atom.lambda_overlap > 0:
         raise ValidationError("config [atom] lambda_overlap must be > 0: "
                               "an atom with no overlap cannot be excited")
-
-    kv = {section: {key: _canon(v, kind)
-                    for key, (v, kind) in merged[section].items()}
-          for section in _SCHEMA}
-    for idx in sorted(stage_overrides):
-        for name in sorted(stage_overrides[idx]):
-            kv["etalon"][f"stage{idx}_{name}"] = _canon(
-                stage_overrides[idx][name], "f")
-
-    kv = _ReadOnlyDict({section: _ReadOnlyDict(items)
-                        for section, items in kv.items()})
-
-    if val("run", "seed") < 0:
+    if si["run"]["seed"] < 0:
         raise ValidationError("config [run]: seed must be >= 0")
 
     return dict(grid=grid, circuit=circuit, gate=gate, dds=dds,
-                bandpass=bandpass, mixer=mixer, eom=eom, etalon=etalon_stack,
-                apply_temp_jitter=val("etalon", "apply_temp_jitter"),
-                detector=detector, atom=atom, seed=val("run", "seed"),
-                run_excitation=val("atom", "run_excitation"), kv=kv)
+                bandpass=bandpass, mixer=mixer, eom=eom, etalon=etalon,
+                apply_temp_jitter=si["etalon"]["apply_temp_jitter"],
+                detector=detector, atom=atom, seed=si["run"]["seed"],
+                run_excitation=si["atom"]["run_excitation"],
+                kv=_ReadOnlyDict({section: _ReadOnlyDict(items)
+                                  for section, items in kv.items()}))
 
 
 def parse_config(text) -> ChainConfig:
@@ -405,7 +392,7 @@ def config_sha256(cfg: ChainConfig) -> str:
 def valid_parameter_paths():
     paths = [f"{section}.{key}" for section, items in _SCHEMA.items()
              for key, _, _ in items]
-    paths.append("etalon.stage<N>_<reflectivity|fsr_ghz|detuning_mhz|loss|temp_per_fsr_k>")
+    paths.append(f"etalon.stage<N>_<{'|'.join(_STAGE_FIELDS.values())}>")
     return paths
 
 

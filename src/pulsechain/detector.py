@@ -2,7 +2,7 @@
 
 Power detection squares the optical amplitude, which exactly halves fitted
 exponential time constants; diode and scope are each modeled as one-pole
-low-passes of their nominal bandwidths (None or inf disables a pole),
+low-passes of their nominal bandwidths (inf disables a pole),
 applied together as one product response.
 """
 
@@ -16,15 +16,16 @@ from .waveform import Waveform, _filter_real
 
 @dataclass(frozen=True)
 class DetectorParams:
-    bandwidth_hz: float | None = 1e9        # photodiode
-    scope_bandwidth_hz: float | None = 2e9  # oscilloscope
+    bandwidth_hz: float = 1e9        # photodiode
+    scope_bandwidth_hz: float = 2e9  # oscilloscope
     responsivity: float = 1.0
 
     def __post_init__(self):
         for name in ("bandwidth_hz", "scope_bandwidth_hz"):
-            v = getattr(self, name)
-            if v is not None and not v > 0:
-                raise ValidationError(f"DetectorParams.{name} must be > 0 or None")
+            if getattr(self, name) is None:  # an older spelling of inf
+                object.__setattr__(self, name, np.inf)
+            if not getattr(self, name) > 0:
+                raise ValidationError(f"DetectorParams.{name} must be > 0")
         if not (self.responsivity > 0):
             raise ValidationError("DetectorParams.responsivity must be > 0")
 
@@ -43,7 +44,7 @@ def detect(field: Waveform, d: DetectorParams) -> Waveform:
     if d.responsivity != 1.0:  # x * 1.0 is x, bit for bit
         np.multiply(d.responsivity, power, out=power)
     bws = [bw for bw in (d.bandwidth_hz, d.scope_bandwidth_hz)
-           if bw is not None and np.isfinite(bw)]
+           if np.isfinite(bw)]
     if bws:
         _filter_real(power, field.grid.dt, lambda f: _pole_product(f, bws),
                      out=power)

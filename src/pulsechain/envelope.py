@@ -51,7 +51,8 @@ class CircuitParams:
                 "CircuitParams.v_t outside the 20-35 mV plausibility band")
         if not self.v_in > self.v_drop:
             raise ValidationError(
-                "CircuitParams.v_in must exceed v_drop (no charging current)")
+                "CircuitParams.v_in must exceed CircuitParams.v_drop (no "
+                "charging current)")
 
     @property
     def ramp_slope(self):

@@ -27,7 +27,8 @@ from .etalon import (_filter_spectrum, photon_lifetime, stack_transmission,
                      stage_diagnostics, with_thermal_jitter)
 from .rfchain import carrier_tones, dominant_tone, mix_envelope
 from .waveform import (TimeGrid, Waveform, _forward, analytic_envelope,
-                       fit_exponential, read_trace, write_traces)
+                       _replacing, fit_exponential, read_trace,
+                       write_traces)
 
 
 @dataclass(frozen=True)
@@ -55,10 +56,8 @@ class RunReport:
 
 
 def _atomic_write(path, text):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing([path]) as (fh,):
         fh.write(text)
-    os.replace(tmp, path)
 
 
 # The config sections whose values set each stage, named in its errors.
@@ -75,9 +74,12 @@ def _stage_error(name, msg):
 
 
 def _stage(name, fn):
+    """``fn()``; a refusal or float error in it ends the run as stage
+    ``name``'s error."""
     try:
-        return fn()
-    except ValidationError as exc:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return fn()
+    except (ValidationError, FloatingPointError) as exc:
         raise _stage_error(name, exc) from None
 
 
@@ -231,7 +233,7 @@ def run_chain(cfg: ChainConfig, outdir=None) -> RunReport:
     stack = cfg.etalon
     if cfg.apply_temp_jitter:
         stack = with_thermal_jitter(stack, np.random.default_rng(cfg.seed))
-    diag = stage_diagnostics(stack, carrier_offset_hz=-f_s)
+    diag = _stage("etalon", lambda: stage_diagnostics(stack, -f_s))
     # a +1 sideband no stronger than the carrier leaking through a cascade
     # that rejects the carrier leaves no pulse: the drive is empty.  (Where
     # the cascade passes the carrier at half its sideband transmission or

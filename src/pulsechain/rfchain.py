@@ -18,7 +18,8 @@ class DdsParams:
 
     def __post_init__(self):
         if not (0 < self.f_tune < self.f_clk / 2):
-            raise ValidationError("DdsParams requires 0 < f_tune < f_clk/2")
+            raise ValidationError("DdsParams.f_tune must be above 0 and below "
+                                  "half of DdsParams.f_clk")
         if self.n_images < 1:
             raise ValidationError("DdsParams.n_images must be >= 1")
 
@@ -35,8 +36,8 @@ class BandpassSpec:
     def __post_init__(self):
         for f, db in self.rejections:
             if not (f > 0 and db >= 0):
-                raise ValidationError(
-                    "BandpassSpec rejection points need f > 0 and dB >= 0")
+                raise ValidationError("BandpassSpec.rejections need f > 0 "
+                                      "and dB >= 0 at every point")
         if not (self.passband_loss_db >= 0):
             raise ValidationError("BandpassSpec.passband_loss_db must be >= 0")
         if not (self.f_center > 0):

@@ -436,6 +436,27 @@ def _format_column(x):
     return text[inverse].tolist()
 
 
+@contextlib.contextmanager
+def _replacing(paths):
+    """Open ``<path>.tmp`` for writing for each path, and rename each into
+    place once the block completes; if anything fails, every ``.tmp`` file
+    opened here is removed before the error propagates."""
+    files = []
+    try:
+        with contextlib.ExitStack() as stack:
+            for path in paths:
+                files.append(stack.enter_context(
+                    open(f"{path}.tmp", "w", encoding="utf-8", newline="\n")))
+            yield files
+        for path, fh in zip(paths, files):
+            os.replace(fh.name, path)
+    except BaseException:
+        for fh in files:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(fh.name)
+        raise
+
+
 def write_trace(path, w: Waveform):
     """Write a waveform as CSV (UTF-8, '.' decimal, one sample per line);
     the imaginary column is written only when some sample has one.  The
@@ -448,48 +469,32 @@ def write_traces(items):
 
     All files are written in lockstep, ``_TRACE_CHUNK`` rows at a time, so
     the time column is formatted once per distinct grid rather than once
-    per file.  Each file goes to ``<path>.tmp`` and is renamed into place
-    after every file is complete; if anything fails, every ``.tmp`` file
-    opened here is removed before the error propagates.
+    per file.  The files are replaced together, as :func:`_replacing` does.
     """
     items = [(os.fspath(path), w) for path, w in items]
-    tmps = []
-    try:
-        with contextlib.ExitStack() as stack:
-            columns = []
-            for path, w in items:
-                tmp = f"{path}.tmp"
-                fh = stack.enter_context(
-                    open(tmp, "w", encoding="utf-8", newline="\n"))
-                tmps.append(tmp)
-                s = w.samples
-                if np.iscomplexobj(s) and np.any(s.imag != 0.0):
-                    fh.write("time_s,real,imag\n")
-                    columns.append((fh, w.grid, (s.real, s.imag)))
-                else:
-                    fh.write("time_s,value\n")
-                    columns.append((fh, w.grid, (s.real,)))
-            n_max = max((w.grid.n_samples for _, w in items), default=0)
-            for lo in range(0, n_max, _TRACE_CHUNK):
-                times = {}
-                for fh, grid, values in columns:
-                    hi = min(lo + _TRACE_CHUNK, grid.n_samples)
-                    if lo >= hi:
-                        continue
-                    if grid not in times:
-                        t = grid.t_start + grid.dt * np.arange(lo, hi)
-                        times[grid] = list(map(repr, t.tolist()))
-                    cols = [_format_column(v[lo:hi]) for v in values]
-                    fh.write("\n".join(map(",".join,
-                                            zip(times[grid], *cols))))
-                    fh.write("\n")
-        for (path, _), tmp in zip(items, tmps):
-            os.replace(tmp, path)
-    except BaseException:
-        for tmp in tmps:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(tmp)
-        raise
+    with _replacing([path for path, _ in items]) as files:
+        columns = []
+        for fh, (_, w) in zip(files, items):
+            s = w.samples
+            if np.iscomplexobj(s) and np.any(s.imag != 0.0):
+                fh.write("time_s,real,imag\n")
+                columns.append((fh, w.grid, (s.real, s.imag)))
+            else:
+                fh.write("time_s,value\n")
+                columns.append((fh, w.grid, (s.real,)))
+        n_max = max((w.grid.n_samples for _, w in items), default=0)
+        for lo in range(0, n_max, _TRACE_CHUNK):
+            times = {}
+            for fh, grid, values in columns:
+                hi = min(lo + _TRACE_CHUNK, grid.n_samples)
+                if lo >= hi:
+                    continue
+                if grid not in times:
+                    t = grid.t_start + grid.dt * np.arange(lo, hi)
+                    times[grid] = list(map(repr, t.tolist()))
+                cols = [_format_column(v[lo:hi]) for v in values]
+                fh.write("\n".join(map(",".join, zip(times[grid], *cols))))
+                fh.write("\n")
 
 
 def _raise_bad_line(path, lines, linenos, ncol):

@@ -56,6 +56,16 @@ def test_simulate_failed_trace_write_leaves_nothing(cfg_file, tmp_path,
     assert sorted(os.listdir(out)) == ["rf_drive.csv.tmp"]
 
 
+def test_simulate_failed_report_write_leaves_no_tmp(cfg_file, tmp_path,
+                                                   capsys):
+    # report.json cannot replace a directory; its temporary file goes too
+    out = tmp_path / "out"
+    (out / "report.json").mkdir(parents=True)
+    assert main(["simulate", cfg_file, "--outdir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (out / "report.json.tmp").exists()
+
+
 def test_simulate_missing_file(capsys):
     assert main(["simulate", "/nonexistent/nowhere.ini"]) == 1
 

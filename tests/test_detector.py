@@ -11,7 +11,7 @@ from pulsechain.detector import _pole_product
 from spectral_oracle import apply_transfer
 
 GRID = TimeGrid(0.0, 0.1e-9, 10000)
-WIDE_OPEN = DetectorParams(bandwidth_hz=None, scope_bandwidth_hz=None)
+WIDE_OPEN = DetectorParams(bandwidth_hz=np.inf, scope_bandwidth_hz=np.inf)
 
 
 def gated_exponential(tau_amp, t_on=100e-9, t_cut=400e-9):
@@ -91,6 +91,12 @@ class TestBandwidth:
         with pytest.raises(ValidationError):
             DetectorParams(responsivity=0.0)
 
+    def test_inf_is_the_one_off(self):
+        # None, the older spelling of "no pole", is read as inf
+        assert DetectorParams(bandwidth_hz=None, scope_bandwidth_hz=None) \
+            == WIDE_OPEN
+        assert WIDE_OPEN.bandwidth_hz == WIDE_OPEN.scope_bandwidth_hz == np.inf
+
 
 def detect_reference(field, d):
     # the complex-transform path: |field|^2 as a complex waveform, the pole
@@ -98,7 +104,7 @@ def detect_reference(field, d):
     out = Waveform(grid=field.grid,
                    samples=d.responsivity * np.abs(field.samples) ** 2, unit="V")
     poles = [one_pole_lowpass(bw) for bw in (d.bandwidth_hz, d.scope_bandwidth_hz)
-             if bw is not None and np.isfinite(bw)]
+             if np.isfinite(bw)]
     if poles:
         out = apply_transfer(out, lambda f: math.prod(p(f) for p in poles))
     return out.samples.real
@@ -131,7 +137,7 @@ class TestRealTransformOracle:
     @pytest.mark.parametrize("n", [10000, 10001])
     @pytest.mark.parametrize("d", [
         DetectorParams(),                                    # two poles
-        DetectorParams(bandwidth_hz=None),                   # one pole
+        DetectorParams(bandwidth_hz=np.inf),                 # one pole
         DetectorParams(bandwidth_hz=3e9, scope_bandwidth_hz=np.inf,
                        responsivity=0.7),                    # one pole
         WIDE_OPEN,                                           # no pole

@@ -39,7 +39,7 @@ def reference_detect(field, d):
     out = Waveform(grid=field.grid,
                    samples=d.responsivity * np.abs(field.samples) ** 2, unit="V")
     for bw in (d.bandwidth_hz, d.scope_bandwidth_hz):
-        if bw is not None and np.isfinite(bw):
+        if np.isfinite(bw):
             out = apply_transfer(out, one_pole_lowpass(bw))
     return out.samples.real
 
@@ -79,7 +79,7 @@ def test_sideband_and_cascade_match_reference(chain, jitter_seed):
 
 @pytest.mark.parametrize("d", [
     DetectorParams(),
-    DetectorParams(bandwidth_hz=None),
+    DetectorParams(bandwidth_hz=np.inf),
     DetectorParams(bandwidth_hz=3e9, scope_bandwidth_hz=0.5e9,
                    responsivity=0.7),
 ])

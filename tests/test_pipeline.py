@@ -567,20 +567,52 @@ class TestEdgeValues:
 
     @pytest.mark.parametrize("path", PATHS)
     def test_named_error_or_a_report(self, path):
-        # the outcome is the contract: numpy's warnings on the way to a
-        # refusal are not, and a leaking stack warns by design
+        # a leaking stack warns by design; a numpy warning would mean a
+        # float error that no stage named
         sections = "|".join(sorted({p.split(".")[0] for p in self.PATHS}))
         unnamed = []
         for value in self.VALUES:
             try:
                 with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
+                    warnings.simplefilter("error", RuntimeWarning)
+                    warnings.simplefilter("ignore", LeakageWarning)
                     run_chain(set_config_value(default_config(), path,
                                                value)).to_json()
             except ValidationError as exc:
                 if not re.search(rf"\[({sections})\]", str(exc)):
                     unnamed.append((value, str(exc)))
         assert unnamed == []
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_parse_time_refusal_names_its_key(self, path):
+        # the key that was set follows its [section] (stage2_* by its own
+        # name), and no type's Cls.field stands in for it
+        section, key = path.split(".")
+        for value in self.VALUES:
+            try:
+                set_config_value(default_config(), path, value)
+            except ValidationError as exc:
+                msg = str(exc)
+                assert re.search(rf"\[{section}\][^\[]*\b{key}\b", msg), msg
+                assert not re.search(r"\b[A-Z]\w*\.[a-z_]\w*", msg), msg
+
+    @pytest.mark.parametrize("path, value, stage", [
+        ("circuit.r11_ohm", "1e-300", "envelope"),
+        ("circuit.v_in_v", "1e308", "envelope"),
+        ("mixer.conversion_gain", "1e308", "rf"),
+        ("etalon.fsr_ghz", "1e-320", "etalon"),
+        ("etalon.stage2_fsr_ghz", "1e-320", "etalon"),
+        ("detector.bandwidth_ghz", "1e-320", "detector"),
+        ("detector.scope_bandwidth_ghz", "1e-320", "detector"),
+        ("detector.responsivity", "1e308", "detector")])
+    def test_float_error_ends_its_stage(self, path, value, stage):
+        # an overflow or invalid value inside a stage is that stage's
+        # error, and numpy prints no warning on the way
+        cfg = set_config_value(default_config(), path, value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=rf"^stage '{stage}' "):
+                run_chain(cfg)
 
 
 class TestSweep:

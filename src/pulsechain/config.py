@@ -330,6 +330,12 @@ def _build(kv, si):
     detector = block(DetectorParams, "detector", bandwidth_hz="bandwidth_ghz",
                      scope_bandwidth_hz="scope_bandwidth_ghz",
                      responsivity="responsivity")
+    for key in ("bandwidth_ghz", "scope_bandwidth_ghz"):  # f/bw on the grid
+        if not math.isfinite(0.5 / grid.dt * (1.0 / si["detector"][key])):
+            raise ValidationError(
+                f"config [detector]: {key} = {kv['detector'][key]} is so "
+                f"narrow that f/bw overflows below the Nyquist frequency of "
+                f"[grid] dt_ns = {g['dt_ns']}")
     lifetime = si["atom"]["excited_lifetime_ns"]
     shown = ("config [atom]: excited_lifetime_ns = "
              + kv["atom"]["excited_lifetime_ns"])

@@ -13,8 +13,11 @@ Conventions
 """
 
 import contextlib
+import functools
+import hashlib
 import itertools
 import os
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -422,9 +425,16 @@ def fit_exponential(w: Waveform, window, direction) -> FitResult:
 # ---------------------------------------------------------------------------
 
 # Rows formatted per step: large enough that the per-chunk numpy calls are
-# cheap next to the per-value repr, small enough that the chunk's strings
-# stay a few MB whatever the trace length.
-_TRACE_CHUNK = 8192
+# cheap next to the per-value repr, small enough that a chunk's strings,
+# the field list they are joined from and the joined text (~0.7 MB for
+# three columns) fit a 2 MiB per-core L2 cache; 8192 rows took ~2.8 MB,
+# and ~3 MB more peak memory in a traced 1e5-sample run.
+_TRACE_CHUNK = 2048
+
+# The text of each trace column that the last write_traces call repeated
+# from the call before it, zlib-compressed chunk by chunk: column key ->
+# chunk texts, or None for a column that the last call wrote only once.
+_column_text = {}
 
 
 def _format_column(x):
@@ -434,6 +444,11 @@ def _format_column(x):
     text = np.array(list(map(repr, bits.view(np.float64).tolist())),
                     dtype=object)
     return text[inverse].tolist()
+
+
+def _format_times(grid, lo, hi):
+    t = grid.t_start + grid.dt * np.arange(lo, hi)
+    return list(map(repr, t.tolist()))
 
 
 @contextlib.contextmanager
@@ -468,33 +483,64 @@ def write_traces(items):
     """Write each ``(path, waveform)`` as :func:`write_trace` does.
 
     All files are written in lockstep, ``_TRACE_CHUNK`` rows at a time, so
-    the time column is formatted once per distinct grid rather than once
-    per file.  The files are replaced together, as :func:`_replacing` does.
+    a column that several files share, such as a grid's time column, is
+    formatted once per call.  A column that the previous call also wrote
+    is kept as its compressed text, keyed by its grid or by a digest of its
+    samples, and later calls reuse that text instead of formatting it
+    again; a call that does not write a kept column drops it.  The files
+    are replaced together, as :func:`_replacing` does.
     """
+    global _column_text
     items = [(os.fspath(path), w) for path, w in items]
+    formats, columns = {}, []  # column key -> its formatter; keys per file
+    for _, w in items:
+        s, grid = w.samples, w.grid
+        keys = [(grid, _TRACE_CHUNK)]
+        formats[keys[0]] = functools.partial(_format_times, grid)
+        digest = hashlib.sha256(np.ascontiguousarray(s)).digest()
+        parts = [("real", s.real)]
+        if np.iscomplexobj(s) and np.any(s.imag != 0.0):
+            parts.append(("imag", s.imag))
+        for part, v in parts:
+            keys.append((digest, part, s.dtype.str, _TRACE_CHUNK))
+            formats[keys[-1]] = lambda lo, hi, v=v: _format_column(v[lo:hi])
+        columns.append((grid.n_samples, keys))
+    last = _column_text
+    # a column that the last call wrote too is kept: its text reused, or
+    # filled from the text that this call formats
+    kept = {key: (last[key] or []) if key in last else None
+            for key in formats}
+
+    def text(key, k, lo, hi):
+        """Rows ``lo`` to ``hi``, chunk ``k``, of column ``key``."""
+        if last.get(key):
+            return zlib.decompress(last[key][k]).decode("ascii").split("\n")
+        values = formats[key](lo, hi)
+        if kept[key] is not None:
+            kept[key].append(
+                zlib.compress("\n".join(values).encode("ascii"), 1))
+        return values
+
     with _replacing([path for path, _ in items]) as files:
-        columns = []
-        for fh, (_, w) in zip(files, items):
-            s = w.samples
-            if np.iscomplexobj(s) and np.any(s.imag != 0.0):
-                fh.write("time_s,real,imag\n")
-                columns.append((fh, w.grid, (s.real, s.imag)))
-            else:
-                fh.write("time_s,value\n")
-                columns.append((fh, w.grid, (s.real,)))
-        n_max = max((w.grid.n_samples for _, w in items), default=0)
-        for lo in range(0, n_max, _TRACE_CHUNK):
-            times = {}
-            for fh, grid, values in columns:
-                hi = min(lo + _TRACE_CHUNK, grid.n_samples)
+        for fh, (_, keys) in zip(files, columns):
+            fh.write("time_s,value\n" if len(keys) == 2
+                     else "time_s,real,imag\n")
+        n_max = max((n for n, _ in columns), default=0)
+        for k, lo in enumerate(range(0, n_max, _TRACE_CHUNK)):
+            texts = {}
+            for fh, (n, keys) in zip(files, columns):
+                hi = min(lo + _TRACE_CHUNK, n)
                 if lo >= hi:
                     continue
-                if grid not in times:
-                    t = grid.t_start + grid.dt * np.arange(lo, hi)
-                    times[grid] = list(map(repr, t.tolist()))
-                cols = [_format_column(v[lo:hi]) for v in values]
-                fh.write("\n".join(map(",".join, zip(times[grid], *cols))))
-                fh.write("\n")
+                step = 2 * len(keys)  # each value and the separator after it
+                fields = [","] * (step * (hi - lo))
+                fields[step - 1::step] = itertools.repeat("\n", hi - lo)
+                for j, key in enumerate(keys):
+                    if key not in texts:
+                        texts[key] = text(key, k, lo, hi)
+                    fields[2 * j::step] = texts[key]
+                fh.write("".join(fields))
+    _column_text = kept
 
 
 def _raise_bad_line(path, lines, linenos, ncol):

@@ -13,7 +13,7 @@ from pulsechain import (EtalonStack, GatePulse, LeakageWarning, RunReport,
                         distortion_fraction, fit_trace, one_pole_lowpass,
                         parse_config, pipeline, read_trace, run_chain,
                         set_config_value, stack_extinction_db, sweep,
-                        valid_parameter_paths)
+                        valid_parameter_paths, waveform)
 from pulsechain.cli import main
 from spectral_oracle import apply_transfer
 
@@ -488,9 +488,21 @@ class TestFrontEndMemo:
             return _tree_bytes(outdir) if write else text
 
         run(1, "prime")
-        warm = run(2, "warm")
+        warm = run(2, "warm")  # formats each column; keeps the front end's
+        kept = dict(waveform._column_text)
         pipeline._front_end.cache_clear()
         assert warm == run(2, "cold")
+        if write:  # the cold run served the time column and the three
+            # electrical taps from the text that the warm run kept
+            reused = [k for k, v in kept.items()
+                      if v is not None and waveform._column_text[k] is v]
+            assert len(reused) == 4
+
+    def test_lone_cold_traced_run_keeps_no_text(self, tmp_path,
+                                                cold_front_end):
+        run_chain(default_config(), str(tmp_path))
+        assert waveform._column_text
+        assert all(v is None for v in waveform._column_text.values())
 
     def test_shared_state_is_not_writable(self, cold_front_end):
         cfg = parse_config("[etalon]\napply_temp_jitter = true\n")
@@ -602,8 +614,6 @@ class TestEdgeValues:
         ("mixer.conversion_gain", "1e308", "rf"),
         ("etalon.fsr_ghz", "1e-320", "etalon"),
         ("etalon.stage2_fsr_ghz", "1e-320", "etalon"),
-        ("detector.bandwidth_ghz", "1e-320", "detector"),
-        ("detector.scope_bandwidth_ghz", "1e-320", "detector"),
         ("detector.responsivity", "1e308", "detector")])
     def test_float_error_ends_its_stage(self, path, value, stage):
         # an overflow or invalid value inside a stage is that stage's
@@ -613,6 +623,17 @@ class TestEdgeValues:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=rf"^stage '{stage}' "):
                 run_chain(cfg)
+
+    @pytest.mark.parametrize("value", ["1e-320", "2.7e-308"])
+    @pytest.mark.parametrize("key", ["bandwidth_ghz", "scope_bandwidth_ghz"])
+    def test_narrow_pole_refused_at_parse(self, key, value):
+        # f/bw overflows at the grid's Nyquist frequency, 5 GHz at the
+        # default dt: refused when parsed, naming its key, not in the run
+        with pytest.raises(ValidationError,
+                           match=rf"^config \[detector\]: {key} = {value} "):
+            set_config_value(default_config(), f"detector.{key}", value)
+        run_chain(set_config_value(default_config(), f"detector.{key}",
+                                   "2.8e-308"))
 
 
 class TestSweep:

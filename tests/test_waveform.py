@@ -715,3 +715,100 @@ class TestTraceIOOracle:
         assert w.grid.n_samples == n and w.samples.dtype == np.complex128
         # held whole with its lines, the file made an 18 MB peak
         assert peak <= 8e6
+
+
+@pytest.fixture
+def no_kept_text(monkeypatch):
+    """No column text kept from earlier writes, and a count of the calls
+    that format a value column."""
+    monkeypatch.setattr(waveform, "_column_text", {})
+    calls = []
+    format_column = waveform._format_column
+
+    def counted(x):
+        calls.append(len(x))
+        return format_column(x)
+    monkeypatch.setattr(waveform, "_format_column", counted)
+    return calls
+
+
+def write_and_compare(directory, waves):
+    """Write ``waves`` into ``directory`` in one call; each file must equal
+    the reference writer's."""
+    directory.mkdir()
+    write_traces([(directory / name, w) for name, w in waves.items()])
+    for name, w in waves.items():
+        ref = directory / f"ref_{name}"
+        write_trace_reference(ref, w)
+        assert (directory / name).read_bytes() == ref.read_bytes(), name
+
+
+def kept_text():
+    return {k: v for k, v in waveform._column_text.items() if v is not None}
+
+
+class TestTraceTextReuse:
+    @pytest.mark.parametrize("n", [2, _TRACE_CHUNK + 1, 3 * _TRACE_CHUNK + 7])
+    def test_repeated_writes_are_byte_identical(self, tmp_path, no_kept_text,
+                                                n):
+        waves = trace_set(n)
+        write_and_compare(tmp_path / "cold", waves)
+        assert kept_text() == {}
+        write_and_compare(tmp_path / "fill", waves)
+        # two time columns and five value columns, kept from the second call
+        assert len(kept_text()) == 7
+        no_kept_text.clear()
+        write_and_compare(tmp_path / "reuse", waves)
+        assert no_kept_text == []   # every column's text was reused
+
+    def test_changed_column_is_formatted_afresh(self, tmp_path, no_kept_text):
+        n = 2 * _TRACE_CHUNK + 3
+        waves = trace_set(n)
+        write_and_compare(tmp_path / "a", waves)
+        write_and_compare(tmp_path / "b", waves)
+        # one value changed, in the last chunk only
+        w = waves["sparse.csv"]
+        samples = w.samples.copy()
+        samples[-2] = 0.25
+        waves["sparse.csv"] = Waveform(w.grid, samples)
+        no_kept_text.clear()
+        write_and_compare(tmp_path / "c", waves)
+        assert no_kept_text == [_TRACE_CHUNK, _TRACE_CHUNK, 3]
+
+    def test_changed_chunk_size_is_formatted_afresh(self, tmp_path,
+                                                    no_kept_text, monkeypatch):
+        n = 3 * _TRACE_CHUNK + 7
+        waves = trace_set(n)
+        write_and_compare(tmp_path / "a", waves)
+        write_and_compare(tmp_path / "b", waves)
+        monkeypatch.setattr(waveform, "_TRACE_CHUNK", 1000)
+        no_kept_text.clear()
+        write_and_compare(tmp_path / "c", waves)
+        # every value column formatted again, 1000 rows at a time
+        assert max(no_kept_text) == 1000
+        assert sum(no_kept_text) == 4 * n + n // 3
+        assert kept_text() == {}
+
+    def test_a_call_that_repeats_no_column_keeps_nothing(self, tmp_path,
+                                                         no_kept_text):
+        n = _TRACE_CHUNK + 1
+        write_and_compare(tmp_path / "a", trace_set(n))
+        write_and_compare(tmp_path / "b", trace_set(n))
+        assert kept_text()
+        write_and_compare(tmp_path / "c", trace_set(n + 3))
+        assert kept_text() == {}
+        write_and_compare(tmp_path / "d", trace_set(n))
+        assert kept_text() == {}
+
+    def test_failed_write_keeps_the_previous_text(self, tmp_path,
+                                                  no_kept_text):
+        waves = trace_set(_TRACE_CHUNK + 1)
+        write_and_compare(tmp_path / "a", waves)
+        write_and_compare(tmp_path / "b", waves)
+        before = dict(waveform._column_text)
+        (tmp_path / "c").mkdir()
+        with pytest.raises(OSError):
+            write_traces([(tmp_path / "c" / "x.csv", waves["sparse.csv"]),
+                          (tmp_path / "missing" / "y.csv",
+                           waves["special.csv"])])
+        assert waveform._column_text == before

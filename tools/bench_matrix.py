@@ -26,8 +26,9 @@ under this script, and the record's ``alternated_cells`` gets the spread
 of their ``best_s`` and ``minflt_per_run``.  Last, ``paired_cells``
 imports both checkouts' ``src/pulsechain`` into this process under distinct
 package names and alternates them op by op: a warm 1e4 ``sweep`` point (as
-the benchmark's ``sweep_small`` runs one), a warm 1e6 ``run_chain`` and a
-``compare_shapes`` at a tau spread over ``atom_shapes``' range.
+the benchmark's ``sweep_small`` runs one), a warm 1e6 ``run_chain``, a
+``compare_shapes`` at a tau spread over ``atom_shapes``' range and a warm
+1e5 ``run_chain`` with trace files, as ``simulate_traces`` writes them.
 The record gets the median and [q1, q3] of the per-op ratio change/parent
 and the number of ops below 1: a difference that separate processes on a
 shared host, drifting by +-20% from one to the next, cannot resolve.  Run it from a copy whose directory sits beside
@@ -40,8 +41,9 @@ record is written with each dict or list of scalars (or of lists of
 scalars) on one line, so an entry is about 200 lines.  ``--append`` adds
 it to the end of the JSON list and leaves the earlier entries as written.
 
-``--summary`` runs nothing and writes nothing: it prints two tables of
-``FILE`` (default ``BENCH_chain.json``), ``best_s`` and ``minflt_per_run``,
+``--summary`` runs nothing and writes nothing: it prints three tables of
+``FILE`` (default ``BENCH_chain.json``), ``best_s``, ``minflt_per_run`` and
+``ru_maxrss_mb``,
 each with one line per entry: the entry's short git and ``src/`` sha,
 ``src_lines`` and that field of each matrix cell, blank where the entry
 lacks it.
@@ -70,7 +72,8 @@ PROVENANCE = ("raw_op_p50_s", "host_block_s")   # read off each run's record
 ALTERNATED = ((1_000_000, "cold", 5), (1_000_000, "warm", 8),
               (10_000, "warm", 40))                # (n, mode, reps)
 PAIRED = ((10_000, "sweep", 400), (1_000_000, "warm", 40),
-          (None, "compare_shapes", 400))           # (n, op, ops)
+          (None, "compare_shapes", 400), (100_000, "traced", 24))
+                                                   # (n, op, ops)
 FSR_RANGE_GHZ = (10.2, 28.9)                       # as sweep_small draws it
 TAU_RANGE_S = (5.4e-9, 135e-9)                     # as atom_shapes draws it
 SINGLE_THREAD = {name: "1" for name in (
@@ -204,11 +207,13 @@ def _load(root, name):
     return module
 
 
-def _paired_op(pc, n, op):
+def _paired_op(pc, n, op, scratch):
     """``timed(i)`` runs op ``i`` of a paired cell with the package ``pc``
     and returns its time: a sweep point at an FSR spread over sweep_small's
     range, a compare_shapes at a tau spread over atom_shapes' range, or a
-    run with jitter seeded by ``i``, its config parsed untimed."""
+    run with jitter seeded by ``i``, its config parsed untimed; a traced
+    run writes into a directory under ``scratch``, removed untimed."""
+    outdir = os.path.join(scratch, pc.__name__) if op == "traced" else None
     if op == "compare_shapes":
         lo, hi = TAU_RANGE_S
         atom = pc.AtomParams()
@@ -228,13 +233,16 @@ def _paired_op(pc, n, op):
             cfg = pc.parse_config(f"[grid]\nn_samples = {n}\n[etalon]\n"
                                   f"apply_temp_jitter = true\n[run]\n"
                                   f"seed = {i}\n")
-            return lambda: pc.run_chain(cfg)
+            return lambda: pc.run_chain(cfg, outdir)
 
     def timed(i):
         fn = call(i)
         t0 = time.perf_counter()
         fn()
-        return time.perf_counter() - t0
+        elapsed = time.perf_counter() - t0
+        if outdir:
+            shutil.rmtree(outdir)
+        return elapsed
     return timed
 
 
@@ -242,22 +250,24 @@ def paired_cells(parent):
     trees = {"parent": _load(parent, "pulsechain_parent"),
              "change": _load(ROOT, "pulsechain_change")}
     cells = []
-    for n, op, n_ops in PAIRED:
-        ops = {side: _paired_op(pc, n, op) for side, pc in trees.items()}
-        for timed in ops.values():
-            timed(0)  # fills the tree's front-end memo
-        times = {"parent": [], "change": []}
-        for i in range(1, n_ops + 1):
-            for side in ("parent", "change")[::1 if i % 2 else -1]:
-                times[side].append(ops[side](i))
-        ratios = [c / p for c, p in zip(times["change"], times["parent"])]
-        q1, med, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
-        cells.append({"n_samples": n, "op": op, "ops": n_ops,
-                      "ratio": {"median": med, "q1_q3": [q1, q3],
-                                "below_1": sum(r < 1.0 for r in ratios)},
-                      **{f"{side}_median_s": statistics.median(t)
-                         for side, t in times.items()}})
-        print("paired", json.dumps(cells[-1]), file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="bench-paired-") as scratch:
+        for n, op, n_ops in PAIRED:
+            ops = {side: _paired_op(pc, n, op, scratch)
+                   for side, pc in trees.items()}
+            for timed in ops.values():
+                timed(0)  # fills the tree's front-end memo
+            times = {"parent": [], "change": []}
+            for i in range(1, n_ops + 1):
+                for side in ("parent", "change")[::1 if i % 2 else -1]:
+                    times[side].append(ops[side](i))
+            ratios = [c / p for c, p in zip(times["change"], times["parent"])]
+            q1, med, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+            cells.append({"n_samples": n, "op": op, "ops": n_ops,
+                          "ratio": {"median": med, "q1_q3": [q1, q3],
+                                    "below_1": sum(r < 1.0 for r in ratios)},
+                          **{f"{side}_median_s": statistics.median(t)
+                             for side, t in times.items()}})
+            print("paired", json.dumps(cells[-1]), file=sys.stderr)
     return cells
 
 
@@ -326,7 +336,8 @@ def summary(path):
     cells = [(n, traces, mode) for n in SIZES for traces in (False, True)
              for mode in ("cold", "warm")]
     for k, (field, fmt) in enumerate((("best_s", "{:.4g}"),
-                                      ("minflt_per_run", "{:.0f}"))):
+                                      ("minflt_per_run", "{:.0f}"),
+                                      ("ru_maxrss_mb", "{:.1f}"))):
         rows = [["git", "src", "lines"]
                 + [f"1e{len(str(n)) - 1}{'+tr' if traces else ''} {mode}"
                    for n, traces, mode in cells]]

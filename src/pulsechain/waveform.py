@@ -608,15 +608,29 @@ def _parse_rows(path, body, lineno, ncol):
         raise
 
 
+def _rows_written(path):
+    """The number of lines after the first in ``path``: the rows of a trace
+    as :func:`write_trace` writes it, one per line after its header."""
+    count, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(_READ_CHARS), b""):
+            count += block.count(b"\n")
+            last = block[-1:]
+    return max(0, count + (last != b"\n") - 1)
+
+
 def read_trace(path, unit="") -> Waveform:
     """Read a CSV trace written by :func:`write_trace` (or equivalent).
 
     Blank lines and whitespace around values are ignored; values parse as
     Python's float() parses them.  A malformed line is reported by number.
-    The file is parsed as it is read, so only the table is held whole.
+    The file is parsed as it is read, into the time and sample arrays,
+    which are sized by a count of its newlines beforehand, so only those
+    two are held whole.
     """
+    size = _rows_written(path)
     ncol = None
-    rows = []
+    n = 0
     lineno = 1  # of the first line of the current block
     with open(path, "r", encoding="utf-8") as fh:
         for lines in _line_blocks(fh):
@@ -637,21 +651,29 @@ def read_trace(path, unit="") -> Waveform:
                         f"{path}: line {lineno + first}: unrecognized header "
                         f"{lines[first].strip()!r}")
                 body = lines[first + 1:]
-            rows.append(_parse_rows(path, body, lineno + len(lines) - len(body),
-                                    ncol))
+                t = np.empty(size)
+                samples = np.empty(size, np.float64 if ncol == 2
+                                   else np.complex128)
+            rows = _parse_rows(path, body, lineno + len(lines) - len(body),
+                               ncol)
             lineno += len(lines)
+            m = n + len(rows)
+            if m > len(t):  # line breaks besides "\n" split more rows
+                t, samples = (np.concatenate([a[:n], np.empty(m, a.dtype)])
+                              for a in (t, samples))
+            t[n:m] = rows[:, 0]
+            samples.view(np.float64).reshape(len(t), ncol - 1)[n:m] = \
+                rows[:, 1:]
+            n = m
     if ncol is None:
         raise ValidationError(f"{path}: empty trace file")
-    table = np.concatenate(rows)
-    del rows
-    n = len(table)
     if n < 2:
         raise ValidationError(f"{path}: trace needs at least 2 samples")
-    t = table[:, 0]
+    if n < len(t):  # blank lines
+        t, samples = t[:n], samples[:n].copy()
+    samples.flags.writeable = False
     dt = (t[-1] - t[0]) / (n - 1)
     if dt <= 0 or np.max(np.abs(np.diff(t) - dt)) > 1e-6 * dt:
         raise ValidationError(f"{path}: sample times are not uniformly spaced")
     grid = TimeGrid(t_start=float(t[0]), dt=float(dt), n_samples=n)
-    samples = (table[:, 1] if ncol == 2
-               else table[:, 1:].view(np.complex128)[:, 0])
     return Waveform(grid=grid, samples=samples, unit=unit)

@@ -626,7 +626,7 @@ class TestTraceIOOracle:
         assert single.read_bytes() == (tmp_path / "special.csv").read_bytes()
         assert not list(tmp_path.glob("*.tmp"))
 
-    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_read_tolerates_blanks_spaces_and_crlf(self, tmp_path, newline):
         n = 2 * _TRACE_CHUNK + 5
         for name, w in trace_set(n).items():

@@ -581,8 +581,9 @@ def read_trace_reference(path, unit=""):
 
 
 SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-5, 123456789.0, -1e-5, 0.1]
-TRACE_SIZES = [2, _TRACE_CHUNK - 1, _TRACE_CHUNK, _TRACE_CHUNK + 1,
-               3 * _TRACE_CHUNK + 7]
+# around the first chunk boundary and the fourth, and past twelve chunks
+TRACE_SIZES = ([2] + [k * _TRACE_CHUNK + d for k in (1, 4) for d in (-1, 0, 1)]
+               + [12 * _TRACE_CHUNK + 7])
 
 
 def trace_set(n):

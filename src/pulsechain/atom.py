@@ -57,7 +57,6 @@ class ExcitationResult:
     t_at_max: float
 
 
-@functools.lru_cache(maxsize=16)
 def _step_coeffs(h, a, b):
     """The exact step of dc/dt = a*c + b*xi over h, for xi the quadratic
     through the drive f0, fm, f1 at the step's start, midpoint and end, as
@@ -80,6 +79,15 @@ def _step_coeffs(h, a, b):
     bh = b * h
     return (p, bh * (phi1 - 3.0 * phi2 + 4.0 * phi3),
             bh * (4.0 * phi2 - 8.0 * phi3), bh * (4.0 * phi3 - phi2))
+
+
+@functools.lru_cache(maxsize=16)
+def _scan_coeffs(dt, a, b, real_drive):
+    """_scan_pieces' dtype and step coefficients: real for a real scan."""
+    coefs = _step_coeffs(dt, a, b) + _step_coeffs(2.0 * dt, a, b)
+    if real_drive and all(complex(v).imag == 0 for v in coefs):
+        return (np.float64, *(complex(v).real for v in coefs))
+    return (np.complex128, *coefs)
 
 
 def _amplitude_coefs(a: AtomParams):
@@ -138,12 +146,8 @@ def _scan_pieces(x, dt, a, b, scale=None):
     in one pass over all rows, and no full-length array is made.
     """
     n = len(x)
-    coefs = _step_coeffs(dt, a, b) + _step_coeffs(2.0 * dt, a, b)
-    real = (np.isrealobj(x) and np.isrealobj(scale)
-            and all(complex(v).imag == 0 for v in coefs))
-    dtype = np.float64 if real else np.complex128
-    p1, b0, b1, b2, p2, a0, a1, a2 = ([complex(v).real for v in coefs]
-                                      if real else coefs)
+    dtype, p1, b0, b1, b2, p2, a0, a1, a2 = _scan_coeffs(
+        dt, a, b, np.isrealobj(x) and np.isrealobj(scale))
 
     def drive(lo, hi):
         part = x[lo:hi] if scale is None else x[lo:hi] * scale
@@ -216,7 +220,7 @@ def _refine_peak(p, grid: TimeGrid):
     curv = p0 - 2.0 * p1 + p2
     if curv >= 0.0:
         return float(p1), float(t_k)
-    shift = np.clip((p0 - p2) / (2.0 * curv), -0.5, 0.5)
+    shift = min(max((p0 - p2) / (2.0 * curv), -0.5), 0.5)
     peak = p1 - 0.125 * (p0 - p2) ** 2 / curv
     return float(peak), float(t_k + shift * grid.dt)
 
@@ -252,8 +256,7 @@ def _probability_trace(pulse_mode: Waveform, a: AtomParams):
     """p(t) = |c(t)|^2 on the pulse's grid, as :func:`excite` computes it."""
     dt = pulse_mode.grid.dt
     # |x|^2 for the energy, then |c|^2 over it as the scan streams c
-    p = np.abs(pulse_mode.samples)
-    np.square(p, out=p)
+    p = _abs2(pulse_mode.samples)
     norm2 = (p.sum() - 0.5 * (p[0] + p[-1])) * dt
     if norm2 <= 0.0:
         raise ValidationError("excite: pulse mode has zero energy")
@@ -261,11 +264,16 @@ def _probability_trace(pulse_mode: Waveform, a: AtomParams):
     # x * (1/s), as numpy divides a complex x by a real s, for any dtype
     for c in _scan_pieces(pulse_mode.samples, dt, *_amplitude_coefs(a),
                           scale=1.0 / np.sqrt(norm2)):
-        out = p[lo:lo + len(c)]
-        np.abs(c, out=out)
-        np.square(out, out=out)
+        _abs2(c, out=p[lo:lo + len(c)])
         lo += len(c)
     return p
+
+
+def _abs2(v, out=None):
+    """|v|^2; x*x is |x|*|x| for a float64 x, and a complex abs is a hypot."""
+    if v.dtype != np.float64:
+        v = out = np.abs(v, out=out)
+    return np.square(v, out=out)
 
 
 def rising_exponential_pulse(grid: TimeGrid, tau_amp, t_cut) -> Waveform:
@@ -274,22 +282,26 @@ def rising_exponential_pulse(grid: TimeGrid, tau_amp, t_cut) -> Waveform:
     tau_amp is the amplitude time constant; the matched mode for an atom of
     decay rate gamma is tau_amp = 2/gamma with t_cut - t_start >= 10/gamma.
     """
-    if not (tau_amp > 0):
-        raise ValidationError("tau_amp must be > 0")
-    t = grid.times()
-    x = np.where(t <= t_cut + 1e-9 * grid.dt,
-                 np.exp((t - t_cut) / tau_amp), 0.0)
-    x.flags.writeable = False
-    return Waveform(grid=grid, samples=x, unit="sqrtW")
+    return _exponential_pulse(grid, tau_amp, "t_cut", t_cut, sign=1.0)
 
 
 def falling_exponential_pulse(grid: TimeGrid, tau_amp, t_begin) -> Waveform:
     """exp(-(t - t_begin)/tau_amp) switched on at t_begin, zero before."""
-    if not (tau_amp > 0):
-        raise ValidationError("tau_amp must be > 0")
-    t = grid.times()
-    x = np.where(t >= t_begin - 1e-9 * grid.dt,
-                 np.exp(-(t - t_begin) / tau_amp), 0.0)
+    return _exponential_pulse(grid, tau_amp, "t_begin", t_begin, sign=-1.0)
+
+
+def _exponential_pulse(grid, tau_amp, name, t_edge, sign):
+    """exp(sign*(t - t_edge)/tau_amp) up to t_edge (sign 1) or from it, within
+    1e-9 dt, else 0; only that support, found by binary search, is computed."""
+    if not (tau_amp > 0 and math.isfinite(t_edge)):
+        raise ValidationError(f"{name} must be finite, not {t_edge}"
+                              if tau_amp > 0 else "tau_amp must be > 0")
+    x, tol = grid.times(), sign * 1e-9 * grid.dt
+    k = int(np.searchsorted(x, t_edge + tol, "right" if sign > 0 else "left"))
+    on, off = (x[:k], x[k:]) if sign > 0 else (x[k:], x[:k])
+    on -= t_edge
+    np.exp(np.divide(on, sign * tau_amp, out=on), out=on)  # v/-tau: -(v/tau)
+    off[:] = 0.0
     x.flags.writeable = False
     return Waveform(grid=grid, samples=x, unit="sqrtW")
 

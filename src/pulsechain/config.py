@@ -259,10 +259,17 @@ def _build(kv, si):
                     v_drop="v_drop_v", i_c_max="i_c_max_ma",
                     v_out_max="v_out_max_v", discharge_tau="discharge_tau_ns",
                     load_ohms="load_ohm")
-    if not circuit.r11 * circuit.c1 > 0:  # the ramp slope divides by it
-        raise ValidationError(
-            f"config [circuit]: r11_ohm = {c['r11_ohm']} times c1_nf = "
-            f"{c['c1_nf']} underflows to 0 s")
+    rc, dv = circuit.r11 * circuit.c1, circuit.v_in - circuit.v_drop
+    rc_keys = f"r11_ohm = {c['r11_ohm']} times c1_nf = {c['c1_nf']}"
+    if not rc > 0:  # the ramp slope divides by it
+        raise ValidationError(f"config [circuit]: {rc_keys} underflows to 0 s")
+    if not math.isfinite(dv / rc):  # named by its side further from 1
+        dv_keys = f"v_in_v = {c['v_in_v']} minus v_drop_v = {c['v_drop_v']}"
+        first, size, slope = ((dv_keys, "large", f"it over {rc_keys}")
+                              if dv > 1.0 / rc else
+                              (rc_keys, "small", f"{dv_keys} over it"))
+        raise ValidationError(f"config [circuit]: {first} is so {size} that "
+                              f"the ramp slope, {slope}, overflows")
     gate = block(GatePulse, "circuit", t_on="gate_on_ns",
                  duration="gate_len_ns")
     dds = block(DdsParams, "dds", f_clk="f_clk_mhz", f_tune="f_tune_mhz",
@@ -330,11 +337,18 @@ def _build(kv, si):
     detector = block(DetectorParams, "detector", bandwidth_hz="bandwidth_ghz",
                      scope_bandwidth_hz="scope_bandwidth_ghz",
                      responsivity="responsivity")
-    for key in ("bandwidth_ghz", "scope_bandwidth_ghz"):  # f/bw on the grid
-        if not math.isfinite(0.5 / grid.dt * (1.0 / si["detector"][key])):
+    nyquist = 0.5 / grid.dt  # f/bw and pi/FSR*f on the grid
+    fsr_keys = {f"stage{i}_fsr_ghz" if f"stage{i}_fsr_ghz" in si["etalon"]
+                else "fsr_ghz" for i in range(1, n + 1)}
+    for section, key, product, what in (
+            [("detector", k, nyquist * (1.0 / si["detector"][k]), "f/bw")
+             for k in ("bandwidth_ghz", "scope_bandwidth_ghz")]
+            + [("etalon", k, math.pi / si["etalon"][k] * nyquist, "pi/FSR*f")
+               for k in sorted(fsr_keys)]):
+        if not math.isfinite(product):
             raise ValidationError(
-                f"config [detector]: {key} = {kv['detector'][key]} is so "
-                f"narrow that f/bw overflows below the Nyquist frequency of "
+                f"config [{section}]: {key} = {kv[section][key]} is so narrow "
+                f"that {what} overflows below the Nyquist frequency of "
                 f"[grid] dt_ns = {g['dt_ns']}")
     lifetime = si["atom"]["excited_lifetime_ns"]
     shown = ("config [atom]: excited_lifetime_ns = "

@@ -195,7 +195,8 @@ def with_thermal_jitter(s: EtalonStack, rng):
     far slower than the pulse, so one draw per run)."""
     stages = []
     for e in s.stages:
-        sigma_f = temperature_to_frequency(e.temp_jitter_k, e)
+        # + 0.0 makes a jitter of -0.0 K +0: numpy refuses a negative zero
+        sigma_f = temperature_to_frequency(e.temp_jitter_k, e) + 0.0
         shift = float(rng.normal(0.0, sigma_f))
         stages.append(replace(e, detuning_hz=e.detuning_hz + shift))
     return EtalonStack(stages=tuple(stages))

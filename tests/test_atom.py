@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -345,3 +347,98 @@ class TestRealScan:
                 assert np.array_equal(bits(got), bits(np.ascontiguousarray(
                     want)))
         assert [len(t) for t in atom_mod._POWERS[(p2, dtype)]] == [2096] * 2
+
+
+def where_pulse(grid, tau, edge, rising):
+    # the whole-grid expression the builders replace
+    t = grid.times()
+    with np.errstate(over="ignore"):
+        if rising:
+            return np.where(t <= edge + 1e-9 * grid.dt,
+                            np.exp((t - edge) / tau), 0.0)
+        return np.where(t >= edge - 1e-9 * grid.dt,
+                        np.exp(-(t - edge) / tau), 0.0)
+
+
+def at_tolerance(t_k, dt, rising):
+    # an edge whose tolerance lands exactly on the sample t_k
+    tol = 1e-9 * dt
+    edge = t_k - tol if rising else t_k + tol
+    for _ in range(8):
+        reach = edge + tol if rising else edge - tol
+        if reach == t_k:
+            return edge
+        edge = np.nextafter(edge, t_k if reach > t_k else -t_k)
+    raise AssertionError(f"no edge reaches {t_k!r} within 8 steps")
+
+
+class TestPulseBuilders:
+    BUILDERS = [(rising_exponential_pulse, True),
+                (falling_exponential_pulse, False)]
+
+    @pytest.mark.parametrize("build, rising", BUILDERS)
+    @pytest.mark.parametrize("t_start", [0.0, 3.7e-9])
+    @pytest.mark.parametrize("n", [2, 3, 101])
+    def test_bit_equal_to_where_expression(self, build, rising, t_start, n):
+        # a cut before the grid, on a sample, between samples, exactly at
+        # the 1e-9 dt tolerance, on the last sample and past the grid
+        grid = TimeGrid(t_start, DT, n)
+        t = grid.times()
+        k = n // 2
+        edges = [t[0] - 5 * DT, t[k], t[k] + 0.4 * DT, t[k] - 0.4 * DT,
+                 at_tolerance(t[k], DT, rising), t[-1], t[-1] + 5 * DT]
+        for tau in (27e-9, 1e-9, 0.05e-9):
+            for edge in edges:
+                got = build(grid, tau, edge).samples
+                want = where_pulse(grid, tau, edge, rising)
+                assert np.array_equal(bits(got), bits(want)), (tau, edge)
+                assert not got.flags.writeable
+
+    def test_tolerance_edge_takes_the_sample(self):
+        grid = TimeGrid(3.7e-9, DT, 11)
+        t = grid.times()
+        for build, rising in self.BUILDERS:
+            x = build(grid, 27e-9, at_tolerance(t[5], DT, rising)).samples
+            assert x[5] > 0.0
+            assert np.all(x[6:] == 0.0) if rising else np.all(x[:5] == 0.0)
+
+    def test_no_overflow_off_the_support(self):
+        # exp((t - t_cut)/tau) overflows after a 1 ns cut at 50 ns, and a
+        # falling pulse's before a 950 ns switch-on: those samples are 0
+        grid = TimeGrid(0.0, 0.1e-9, 10001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rising = rising_exponential_pulse(grid, 1e-9, 50e-9).samples
+            falling = falling_exponential_pulse(grid, 1e-9, 950e-9).samples
+        assert rising[500] == pytest.approx(1.0) and not np.any(rising[501:])
+        assert falling[9500] == pytest.approx(1.0)
+        assert not np.any(falling[:9500])
+
+    @pytest.mark.parametrize("build, name", [
+        (rising_exponential_pulse, "t_cut"),
+        (falling_exponential_pulse, "t_begin")])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_edge_refused(self, build, name, value):
+        with pytest.raises(ValidationError, match=rf"^{name} must be finite"):
+            build(TimeGrid(0.0, DT, 11), 27e-9, value)
+
+
+class TestRealSquare:
+    @pytest.mark.parametrize("kind", ["rising", "falling", "noise"])
+    @pytest.mark.parametrize("n", [2, 5, 1001, 2 * 2 * atom_mod._GROUP + 2])
+    def test_square_equals_abs_then_square(self, kind, n):
+        # a float64 drive and scan are squared as they are; the abs-then-
+        # square they replace gives the same trace and the same p_max bits
+        x = drive(kind, n)
+        grid = TimeGrid(0.0, DT, n)
+        pulse = Waveform(grid=grid, samples=x)
+        a = AtomParams(gamma=GAMMA)
+        e = np.square(np.abs(x))
+        norm2 = (e.sum() - 0.5 * (e[0] + e[-1])) * DT
+        c = np.concatenate(pieces(x, a, scale=1.0 / np.sqrt(norm2)))
+        assert c.dtype == np.float64
+        want = np.square(np.abs(c))
+        assert np.array_equal(bits(_probability_trace(pulse, a)), bits(want))
+        p_max = atom_mod._refine_peak(want, grid)[0]
+        assert bits(np.float64(excite(pulse, a).p_max)) == bits(
+            np.float64(p_max))

@@ -12,7 +12,7 @@ import warnings
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from pulsechain import (ChainConfig, LeakageWarning,  # noqa: E402
@@ -96,6 +96,8 @@ def names_a_key(msg):
 @settings(max_examples=250, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(configs())
+@example({("etalon", "temp_jitter_mk"): "-0.0",  # numpy refused sigma -0.0
+          ("etalon", "apply_temp_jitter"): "true"})
 def test_every_key_validates_or_reports(draw):
     # a parse-time refusal names a key of its section; a stage's run-time
     # refusal names the stage and its sections; anything else is a

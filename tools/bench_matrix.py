@@ -41,12 +41,12 @@ record is written with each dict or list of scalars (or of lists of
 scalars) on one line, so an entry is about 200 lines.  ``--append`` adds
 it to the end of the JSON list and leaves the earlier entries as written.
 
-``--summary`` runs nothing and writes nothing: it prints three tables of
-``FILE`` (default ``BENCH_chain.json``), ``best_s``, ``minflt_per_run`` and
-``ru_maxrss_mb``,
-each with one line per entry: the entry's short git and ``src/`` sha,
-``src_lines`` and that field of each matrix cell, blank where the entry
-lacks it.
+``--summary`` runs nothing and writes nothing: it prints four tables of
+``FILE`` (default ``BENCH_chain.json``), each with one line per entry: the
+entry's short git and ``src/`` sha, ``src_lines``, and then ``best_s``,
+``minflt_per_run`` or ``ru_maxrss_mb`` of each matrix cell, or the ratio
+of each paired cell as median [q1, q3] and below_1/ops; blank where the
+entry lacks it.
 """
 
 import argparse
@@ -329,29 +329,55 @@ def append(path, record):
         fh.write(f"{head}{sep} {_dumps(record, ' ')}\n]\n")
 
 
+def _ratio_text(cell):
+    """A paired cell's change/parent ratio: median [q1, q3] below_1/ops."""
+    r = cell["ratio"]
+    return (f"{r['median']:.3f} [{r['q1_q3'][0]:.3f}, {r['q1_q3'][1]:.3f}] "
+            f"{r['below_1']}/{cell['ops']}")
+
+
 def summary(path):
     """Print the ``--summary`` tables of the JSON list at ``path``."""
     with open(path, encoding="utf-8") as fh:
         entries = json.load(fh)
     cells = [(n, traces, mode) for n in SIZES for traces in (False, True)
              for mode in ("cold", "warm")]
-    for k, (field, fmt) in enumerate((("best_s", "{:.4g}"),
-                                      ("minflt_per_run", "{:.0f}"),
-                                      ("ru_maxrss_mb", "{:.1f}"))):
-        rows = [["git", "src", "lines"]
-                + [f"1e{len(str(n)) - 1}{'+tr' if traces else ''} {mode}"
-                   for n, traces, mode in cells]]
-        for e in entries:
+
+    def size(n):
+        return f"1e{len(str(n)) - 1}"
+
+    def matrix_row(field, fmt):
+        def row(e):
             got = {(c.get("n_samples"), c.get("traces"), c.get("mode")):
                    c.get(field) for c in e.get("matrix", [])}
+            return ["" if got.get(c) is None else fmt.format(got[c])
+                    for c in cells]
+        return row
+
+    def paired_row(e):
+        got = {(c.get("n_samples"), c.get("op")): c
+               for c in e.get("paired_cells", [])}
+        return ["" if (n, op) not in got else _ratio_text(got[n, op])
+                for n, op, _ in PAIRED]
+
+    matrix_heads = [f"{size(n)}{'+tr' if traces else ''} {mode}"
+                    for n, traces, mode in cells]
+    tables = [(field, matrix_heads, matrix_row(field, fmt))
+              for field, fmt in (("best_s", "{:.4g}"),
+                                 ("minflt_per_run", "{:.0f}"),
+                                 ("ru_maxrss_mb", "{:.1f}"))]
+    tables.append(("paired_cells: change/parent median [q1, q3] below_1/ops",
+                   [op if n is None else f"{size(n)} {op}"
+                    for n, op, _ in PAIRED], paired_row))
+    for k, (title, heads, row_of) in enumerate(tables):
+        rows = [["git", "src", "lines"] + heads]
+        for e in entries:
             rows.append([(e.get("git_sha") or "")[:7],
                          (e.get("src_sha256") or "")[:7],
-                         str(e.get("src_lines", ""))]
-                        + ["" if got.get(c) is None else fmt.format(got[c])
-                           for c in cells])
+                         str(e.get("src_lines", ""))] + row_of(e))
         widths = [max(len(row[i]) for row in rows)
                   for i in range(len(rows[0]))]
-        print(("\n" if k else "") + field)
+        print(("\n" if k else "") + title)
         for row in rows:
             print("  ".join(v.rjust(w) for v, w in zip(row, widths)))
 

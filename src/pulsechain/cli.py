@@ -8,7 +8,7 @@ import argparse
 import sys
 
 from .atom import excite as run_excite
-from .config import load_config
+from .config import _SCHEMA, load_config
 from .errors import FitError, ValidationError
 from .pipeline import fit_trace, run_chain, sweep
 from .waveform import read_trace
@@ -79,6 +79,10 @@ def _cmd_simulate(args):
 
 def _cmd_sweep(args):
     cfg = load_config(args.config)
+    section, _, key = args.param.partition(".")
+    if (key, "rej") in [item[:2] for item in _SCHEMA.get(section, ())]:
+        raise ValidationError(f"--values: {args.param} takes a list, which "
+                              "a comma-separated sweep cannot set")
     values = _parse_values(args.values)
     reports = sweep(cfg, args.param, values, args.outdir)
     for v, rep in zip(values, reports):

@@ -12,8 +12,8 @@ Conventions
   and the round trip is exact to machine precision.
 """
 
+import array
 import contextlib
-import functools
 import hashlib
 import itertools
 import os
@@ -438,17 +438,8 @@ _column_text = {}
 
 
 def _format_column(x):
-    """repr() of each float64 in ``x``, each distinct bit pattern formatted
-    once (the int64 view keeps -0.0 apart from 0.0)."""
-    bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
-    text = np.array(list(map(repr, bits.view(np.float64).tolist())),
-                    dtype=object)
-    return text[inverse].tolist()
-
-
-def _format_times(grid, lo, hi):
-    t = grid.t_start + grid.dt * np.arange(lo, hi)
-    return list(map(repr, t.tolist()))
+    """repr() of each float64 in ``x``."""
+    return list(map(repr, x.tolist()))
 
 
 @contextlib.contextmanager
@@ -496,7 +487,8 @@ def write_traces(items):
     for _, w in items:
         s, grid = w.samples, w.grid
         keys = [(grid, _TRACE_CHUNK)]
-        formats[keys[0]] = functools.partial(_format_times, grid)
+        formats[keys[0]] = lambda lo, hi, g=grid: list(map(
+            repr, (g.t_start + g.dt * np.arange(lo, hi)).tolist()))
         digest = hashlib.sha256(np.ascontiguousarray(s)).digest()
         parts = [("real", s.real)]
         if np.iscomplexobj(s) and np.any(s.imag != 0.0):
@@ -560,7 +552,8 @@ def _raise_bad_line(path, lines, linenos, ncol):
 
 
 # Characters read per block of read_trace: the text, its lines and their
-# values are held one block at a time, a few MB whatever the trace length.
+# parsed floats are held one block at a time, a few MB whatever the trace
+# length; only the packed values grow with it.
 _READ_CHARS = 1 << 17
 
 
@@ -584,9 +577,9 @@ def _line_blocks(fh):
         yield text[:cut].splitlines()
 
 
-def _parse_rows(path, body, lineno, ncol):
-    """The rows of ``body``, whose first line is line ``lineno`` of the
-    file, as an (n, ncol) float array; blank lines are skipped."""
+def _parse_rows(path, body, lineno, ncol, out):
+    """Append the values of the rows of ``body``, whose first line is line
+    ``lineno`` of the file, to the array ``out``; blank lines are skipped."""
     commas = np.fromiter(map(str.count, body, itertools.repeat(",")),
                          dtype=np.intp, count=len(body))
     # a line with no comma is blank, or a row with too few columns
@@ -600,37 +593,24 @@ def _parse_rows(path, body, lineno, ncol):
     try:
         if np.any(commas != ncol - 1):
             raise ValueError("wrong column count")
-        return np.fromiter(map(float, ",".join(body).split(",")),
-                           dtype=np.float64,
-                           count=len(body) * ncol).reshape(-1, ncol)
+        if body:  # "".split(",") is one empty value
+            out.fromlist(list(map(float, ",".join(body).split(","))))
     except ValueError:
         _raise_bad_line(path, body, linenos.tolist(), ncol)
         raise
-
-
-def _rows_written(path):
-    """The number of lines after the first in ``path``: the rows of a trace
-    as :func:`write_trace` writes it, one per line after its header."""
-    count, last = 0, b"\n"
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(_READ_CHARS), b""):
-            count += block.count(b"\n")
-            last = block[-1:]
-    return max(0, count + (last != b"\n") - 1)
 
 
 def read_trace(path, unit="") -> Waveform:
     """Read a CSV trace written by :func:`write_trace` (or equivalent).
 
     Blank lines and whitespace around values are ignored; values parse as
-    Python's float() parses them.  A malformed line is reported by number.
-    The file is parsed as it is read, into the time and sample arrays,
-    which are sized by a count of its newlines beforehand, so only those
-    two are held whole.
+    Python's float() parses them.  A malformed line, or a non-finite or
+    non-uniform time, is reported with the path.  The file is parsed as it
+    is read, into one packed array of its values, so only that array and
+    the samples copied out of it are held whole.
     """
-    size = _rows_written(path)
     ncol = None
-    n = 0
+    values = array.array("d")
     lineno = 1  # of the first line of the current block
     with open(path, "r", encoding="utf-8") as fh:
         for lines in _line_blocks(fh):
@@ -651,29 +631,26 @@ def read_trace(path, unit="") -> Waveform:
                         f"{path}: line {lineno + first}: unrecognized header "
                         f"{lines[first].strip()!r}")
                 body = lines[first + 1:]
-                t = np.empty(size)
-                samples = np.empty(size, np.float64 if ncol == 2
-                                   else np.complex128)
-            rows = _parse_rows(path, body, lineno + len(lines) - len(body),
-                               ncol)
+            _parse_rows(path, body, lineno + len(lines) - len(body), ncol,
+                        values)
             lineno += len(lines)
-            m = n + len(rows)
-            if m > len(t):  # line breaks besides "\n" split more rows
-                t, samples = (np.concatenate([a[:n], np.empty(m, a.dtype)])
-                              for a in (t, samples))
-            t[n:m] = rows[:, 0]
-            samples.view(np.float64).reshape(len(t), ncol - 1)[n:m] = \
-                rows[:, 1:]
-            n = m
     if ncol is None:
         raise ValidationError(f"{path}: empty trace file")
+    table = np.frombuffer(values, dtype=np.float64).reshape(-1, ncol)
+    n = len(table)
     if n < 2:
         raise ValidationError(f"{path}: trace needs at least 2 samples")
-    if n < len(t):  # blank lines
-        t, samples = t[:n], samples[:n].copy()
+    t = table[:, 0]
+    dt = (float(t[-1]) - float(t[0])) / (n - 1)  # overflows to inf, silently
+    if not (0 < dt < np.inf and np.isfinite(t).all()
+            and np.max(np.abs(np.diff(t) - dt)) <= 1e-6 * dt):
+        raise ValidationError(
+            f"{path}: sample times are not finite and uniformly spaced")
+    samples = np.array(table[:, 1] if ncol == 2
+                       else table[:, 1:].view(np.complex128)[:, 0])
     samples.flags.writeable = False
-    dt = (t[-1] - t[0]) / (n - 1)
-    if dt <= 0 or np.max(np.abs(np.diff(t) - dt)) > 1e-6 * dt:
-        raise ValidationError(f"{path}: sample times are not uniformly spaced")
     grid = TimeGrid(t_start=float(t[0]), dt=float(dt), n_samples=n)
-    return Waveform(grid=grid, samples=samples, unit=unit)
+    try:
+        return Waveform(grid=grid, samples=samples, unit=unit)
+    except ValidationError as exc:  # a non-finite sample
+        raise ValidationError(f"{path}: {exc}") from None

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from pulsechain import TimeGrid, Waveform, pipeline, write_trace
+from pulsechain import TimeGrid, Waveform, load_config, pipeline, write_trace
 from pulsechain.cli import main
 
 DEFAULT_CFG = "[run]\nseed = 0\n"
@@ -112,6 +112,22 @@ def test_fit_non_finite_window_exit_1(tmp_path, capsys, window):
     assert err.startswith("error: fit window") and "finite" in err
 
 
+@pytest.mark.parametrize("row, bad", [
+    (500, "nan,1.0"), (500, "inf,1.0"), (500, "-inf,1.0"),
+    (-1, "nan,1.0"), (-1, "inf,1.0"), (-1, "-inf,1.0"), (500, "5e-8,nan"),
+])
+def test_fit_non_finite_trace_exit_1(tmp_path, capsys, row, bad):
+    grid = TimeGrid(0.0, 0.1e-9, 1001)
+    trace = tmp_path / "t.csv"
+    write_trace(trace, Waveform(grid=grid, samples=np.exp(grid.times() / 27e-9)))
+    lines = trace.read_text().splitlines()
+    lines[row] = bad
+    trace.write_text("\n".join(lines) + "\n")
+    assert main(["fit", str(trace), "--window", "1e-8,9e-8",
+                 "--direction", "rising"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {trace}: ")
+
+
 def test_sweep_command(cfg_file, tmp_path, capsys):
     out = tmp_path / "sw"
     rc = main(["sweep", cfg_file, "--param", "circuit.v_in_v",
@@ -124,6 +140,21 @@ def test_sweep_command(cfg_file, tmp_path, capsys):
 def test_sweep_bad_param(cfg_file):
     assert main(["sweep", cfg_file, "--param", "nope.nope",
                  "--values", "1"]) == 1
+
+
+def test_sweep_refuses_list_valued_key(cfg_file, capsys, monkeypatch):
+    # the commas of "125:70,500:24" would split one list into two points
+    def no_run(*args):
+        raise AssertionError("the sweep ran")
+    monkeypatch.setattr("pulsechain.cli.sweep", no_run)
+    assert main(["sweep", cfg_file, "--param", "bandpass.rejections_mhz_dbc",
+                 "--values", "125:70,500:24"]) == 1
+    assert "bandpass.rejections_mhz_dbc" in capsys.readouterr().err
+    # the library sweep takes the list as one value
+    cfg = load_config(cfg_file)
+    [report] = pipeline.sweep(cfg, "bandpass.rejections_mhz_dbc",
+                              ["125:70,500:24"])
+    assert report.data["envelope"]["fit"]
 
 
 def test_excite_from_chain(cfg_file, capsys):

@@ -521,6 +521,33 @@ class TestTraceIO:
         with pytest.raises(ValidationError, match="uniform"):
             read_trace(path)
 
+    def test_overflowing_time_span_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("time_s,value\n-1e308,1.0\n0.0,1.0\n1e308,1.0\n")
+        with pytest.raises(ValidationError) as exc:
+            read_trace(path)
+        assert str(exc.value) == (
+            f"{path}: sample times are not finite and uniformly spaced")
+
+    @pytest.mark.parametrize("row", [2, 4], ids=["middle", "last"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [0, 1], ids=["time", "sample"])
+    def test_non_finite_value_rejected_naming_the_file(self, tmp_path, row,
+                                                       value, column):
+        # a NaN time compares false with every spacing, so a check written
+        # as "dt <= 0 or spacing error > tolerance" let it through
+        lines = ["time_s,real,imag"] + [f"{k}e-9,1.0,0.5" for k in range(4)]
+        fields = lines[row].split(",")
+        fields[column] = value
+        lines[row] = ",".join(fields)
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError) as exc:
+            read_trace(path)
+        assert str(exc.value) == f"{path}: " + (
+            "sample times are not finite and uniformly spaced" if column == 0
+            else "waveform samples must all be finite")
+
 
 # ---------------------------------------------------------------------------
 # oracles for the chunked trace writer and reader: the per-row writer and
@@ -699,23 +726,30 @@ class TestTraceIOOracle:
         assert str(new.value) == str(old.value)
 
     def test_read_holds_a_block_not_the_file(self, tmp_path):
-        # a complex trace of 1e5 rows with full-length values (6.6 MB)
+        # traces of 1e5 rows with full-length values (6.6 MB if complex)
         n = 100_000
         rng = np.random.default_rng(3)
         pool = np.array([repr(x) for x in rng.standard_normal(1000).tolist()])
-        values = [pool[rng.integers(0, 1000, n)] for _ in range(2)]
-        rows = zip(map(str, range(n)), *map(list, values))
-        path = tmp_path / "complex.csv"
-        path.write_text("time_s,real,imag\n" + "\n".join(map(",".join, rows)))
-        tracemalloc.start()
-        try:
-            w = read_trace(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert w.grid.n_samples == n and w.samples.dtype == np.complex128
-        # held whole with its lines, the file made an 18 MB peak
-        assert peak <= 8e6
+        # the packed values with a block's text, or with the time check,
+        # make ~4.3 and ~3.5 MB peaks; one more trace-length float64 array
+        # held through the check (a copied time column: 5.06 and 4.11 MB),
+        # or one more copy of complex samples (5.86 MB), passes the bound
+        for header, dtype, bound in [("time_s,real,imag", np.complex128, 5e6),
+                                     ("time_s,value", np.float64, 3.9e6)]:
+            values = [pool[rng.integers(0, 1000, n)]
+                      for _ in range(header.count(","))]
+            rows = zip(map(str, range(n)), *map(list, values))
+            path = tmp_path / f"{dtype.__name__}.csv"
+            path.write_text(header + "\n" + "\n".join(map(",".join, rows)))
+            tracemalloc.start()
+            try:
+                w = read_trace(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert w.grid.n_samples == n and w.samples.dtype == dtype
+            # held whole with its lines, the complex file made an 18 MB peak
+            assert peak <= bound, header
 
 
 @pytest.fixture

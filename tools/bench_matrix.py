@@ -27,8 +27,9 @@ of their ``best_s`` and ``minflt_per_run``.  Last, ``paired_cells``
 imports both checkouts' ``src/pulsechain`` into this process under distinct
 package names and alternates them op by op: a warm 1e4 ``sweep`` point (as
 the benchmark's ``sweep_small`` runs one), a warm 1e6 ``run_chain``, a
-``compare_shapes`` at a tau spread over ``atom_shapes``' range and a warm
-1e5 ``run_chain`` with trace files, as ``simulate_traces`` writes them.
+``compare_shapes`` at a tau spread over ``atom_shapes``' range, a warm
+1e5 ``run_chain`` with trace files, as ``simulate_traces`` writes them, and
+the read-back of such a run's traces, as ``simulate_traces`` reads them.
 The record gets the median and [q1, q3] of the per-op ratio change/parent
 and the number of ops below 1: a difference that separate processes on a
 shared host, drifting by +-20% from one to the next, cannot resolve.  Run it from a copy whose directory sits beside
@@ -72,7 +73,8 @@ PROVENANCE = ("raw_op_p50_s", "host_block_s")   # read off each run's record
 ALTERNATED = ((1_000_000, "cold", 5), (1_000_000, "warm", 8),
               (10_000, "warm", 40))                # (n, mode, reps)
 PAIRED = ((10_000, "sweep", 400), (1_000_000, "warm", 40),
-          (None, "compare_shapes", 400), (100_000, "traced", 24))
+          (None, "compare_shapes", 400), (100_000, "traced", 24),
+          (100_000, "readback", 24))
                                                    # (n, op, ops)
 FSR_RANGE_GHZ = (10.2, 28.9)                       # as sweep_small draws it
 TAU_RANGE_S = (5.4e-9, 135e-9)                     # as atom_shapes draws it
@@ -210,10 +212,20 @@ def _load(root, name):
 def _paired_op(pc, n, op, scratch):
     """``timed(i)`` runs op ``i`` of a paired cell with the package ``pc``
     and returns its time: a sweep point at an FSR spread over sweep_small's
-    range, a compare_shapes at a tau spread over atom_shapes' range, or a
-    run with jitter seeded by ``i``, its config parsed untimed; a traced
-    run writes into a directory under ``scratch``, removed untimed."""
-    outdir = os.path.join(scratch, pc.__name__) if op == "traced" else None
+    range, a compare_shapes at a tau spread over atom_shapes' range, a run
+    with jitter seeded by ``i``, its config parsed untimed, or the read-back
+    of one such run's traces; a traced run writes into a directory under
+    ``scratch``, removed untimed.  The read-back reads the traces that one
+    untimed run wrote there: ``fit_trace`` of ``v_out.csv`` over the
+    envelope's fit window, and ``read_trace`` and ``excite`` of
+    ``filtered_envelope.csv``."""
+    outdir = (os.path.join(scratch, pc.__name__)
+              if op in ("traced", "readback") else None)
+
+    def config(seed):
+        return pc.parse_config(f"[grid]\nn_samples = {n}\n[etalon]\n"
+                               f"apply_temp_jitter = true\n[run]\n"
+                               f"seed = {seed}\n")
     if op == "compare_shapes":
         lo, hi = TAU_RANGE_S
         atom = pc.AtomParams()
@@ -228,11 +240,24 @@ def _paired_op(pc, n, op, scratch):
         def call(i):
             value = f"{lo + (hi - lo) * (i * 0.618034 % 1):.6f}"
             return lambda: pc.sweep(cfg, "etalon.fsr_ghz", [value])
+    elif op == "readback":
+        cfg = config(0)
+        tau = pc.run_chain(cfg, outdir).data["envelope"]["tau_design_s"]
+        gate = cfg.gate
+        window = (gate.t_on + max(0.3 * gate.duration,
+                                  gate.duration - 5.0 * tau),
+                  gate.t_off - 2.0 * cfg.grid.dt)
+
+        def read_back():
+            pc.fit_trace(os.path.join(outdir, "v_out.csv"), window, "rising")
+            pc.excite(pc.read_trace(os.path.join(
+                outdir, "filtered_envelope.csv"), unit="sqrtW"), cfg.atom)
+
+        def call(i):
+            return read_back
     else:
         def call(i):
-            cfg = pc.parse_config(f"[grid]\nn_samples = {n}\n[etalon]\n"
-                                  f"apply_temp_jitter = true\n[run]\n"
-                                  f"seed = {i}\n")
+            cfg = config(i)
             return lambda: pc.run_chain(cfg, outdir)
 
     def timed(i):
@@ -240,7 +265,7 @@ def _paired_op(pc, n, op, scratch):
         t0 = time.perf_counter()
         fn()
         elapsed = time.perf_counter() - t0
-        if outdir:
+        if op == "traced":
             shutil.rmtree(outdir)
         return elapsed
     return timed

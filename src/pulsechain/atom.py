@@ -21,7 +21,7 @@ prefix scan (Blelloch 1990) with no per-step Python loop, streamed in
 groups of rows (see _scan_pieces).  |p| = e^(-gamma*dt) < 1 for every
 gamma > 0, so every sample spacing runs.  A real drive on a resonant atom
 scans in float64: every imaginary part is +-0, so |c|^2 keeps its bits.
-Step powers p^(j+1) are memoised per step factor (_step_powers).
+Step powers p^(j+1) are memoised with the step coefficients (_scan_coeffs).
 """
 
 import cmath
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .waveform import TimeGrid, Waveform, _spans
+from .waveform import TimeGrid, Waveform, _abs2, _spans
 
 
 @dataclass(frozen=True)
@@ -81,13 +81,19 @@ def _step_coeffs(h, a, b):
             bh * (4.0 * phi2 - 8.0 * phi3), bh * (4.0 * phi3 - phi2))
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=4)
 def _scan_coeffs(dt, a, b, real_drive):
-    """_scan_pieces' dtype and step coefficients: real for a real scan."""
+    """_scan_pieces' dtype, step coefficients (real for a real scan) and
+    step powers for blocks of up to min(_GROUP, 8/(gamma*dt)) steps, or None
+    when every block is one step: 4 entries of 2 tables, <= 2 MiB."""
     coefs = _step_coeffs(dt, a, b) + _step_coeffs(2.0 * dt, a, b)
+    dtype = np.complex128
     if real_drive and all(complex(v).imag == 0 for v in coefs):
-        return (np.float64, *(complex(v).real for v in coefs))
-    return (np.complex128, *coefs)
+        dtype, coefs = np.float64, tuple(complex(v).real for v in coefs)
+    gamma_dt = -2.0 * a.real * dt
+    block = _GROUP if gamma_dt * _GROUP <= 8.0 else int(8.0 / gamma_dt)
+    return (dtype, *coefs,
+            _step_powers(coefs[4], dtype, block) if block > 1 else None)
 
 
 def _amplitude_coefs(a: AtomParams):
@@ -97,31 +103,23 @@ def _amplitude_coefs(a: AtomParams):
 
 
 _GROUP = 1 << 14  # 2*dt steps per group of the streamed scan: ~1 MB of work
-_POWERS = {}  # (p2, dtype) -> _step_powers' tables: 4 of <= _GROUP steps, 2 MiB
 
 
 def _step_powers(p2, dtype, block):
     """p2^(j+1) and p2^-(j+1) for j < block in ``dtype`` (the real parts for
-    float64), read-only.  A table's prefix is the shorter table bit for bit,
-    so the memo keeps the longest (up to _GROUP) of the 4 last step factors."""
-    tables = _POWERS.pop((p2, dtype), None)
-    if tables is None or len(tables[0]) < block:
-        pw = np.exp(np.log(complex(p2)) * np.arange(1.0, block + 1))
-        tables = [np.ascontiguousarray(t.real if dtype is np.float64 else t)
-                  for t in (pw, 1.0 / pw)]
-        for t in tables:
-            t.flags.writeable = False
-    if len(tables[0]) <= _GROUP:
-        if len(_POWERS) >= 4:
-            del _POWERS[next(iter(_POWERS))]
-        _POWERS[(p2, dtype)] = tables
-    return tables[0][:block], tables[1][:block]
+    float64), read-only.  A table's prefix is the shorter table bit for bit."""
+    pw = np.exp(np.log(complex(p2)) * np.arange(1.0, block + 1))
+    tables = [np.ascontiguousarray(t.real if dtype is np.float64 else t)
+              for t in (pw, 1.0 / pw)]
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
-def _scan_pieces(x, dt, a, b, scale=None):
+def _scan_pieces(x, dt, a, b, scale):
     """The amplitude trace c of dc/dt = a*c + b*xi(t) with c(0) = 0, for the
-    drive xi = x*scale (x itself when ``scale`` is None), as consecutive
-    pieces whose concatenation is c (float64 for a real drive and atom).
+    drive xi = x*scale, as consecutive pieces whose concatenation is c
+    (float64 for a real drive and atom).
 
     The step is exact for the drive's quadratic through three samples,
     over h = 2*dt (:func:`_step_coeffs`), so the drive is never sampled off
@@ -146,12 +144,11 @@ def _scan_pieces(x, dt, a, b, scale=None):
     in one pass over all rows, and no full-length array is made.
     """
     n = len(x)
-    dtype, p1, b0, b1, b2, p2, a0, a1, a2 = _scan_coeffs(
+    dtype, p1, b0, b1, b2, p2, a0, a1, a2, powers = _scan_coeffs(
         dt, a, b, np.isrealobj(x) and np.isrealobj(scale))
 
     def drive(lo, hi):
-        part = x[lo:hi] if scale is None else x[lo:hi] * scale
-        return np.asarray(part, dtype=dtype)
+        return np.asarray(x[lo:hi] * scale, dtype=dtype)
 
     if n == 2:
         xi = drive(0, 2)
@@ -162,7 +159,9 @@ def _scan_pieces(x, dt, a, b, scale=None):
     m = (n - 1) // 2  # full 2*dt steps
     gamma_dt = -2.0 * a.real * dt  # = -ln|p2|
     block = m if gamma_dt * m <= 8.0 else max(1, int(8.0 / gamma_dt))
-    pw, ipw = (_step_powers(p2, dtype, block) if block > 1
+    if block > 1 and len(powers[0] if powers else ()) < block:
+        powers = _step_powers(p2, dtype, block)  # a block past the memo's
+    pw, ipw = ((t[:block] for t in powers) if block > 1
                else (np.full(1, p2, dtype=dtype), None))
     carry = None  # c at the group's first even index, after the first group
     for k0, k1 in _spans(m, max(1, _GROUP // block) * block):
@@ -267,13 +266,6 @@ def _probability_trace(pulse_mode: Waveform, a: AtomParams):
         _abs2(c, out=p[lo:lo + len(c)])
         lo += len(c)
     return p
-
-
-def _abs2(v, out=None):
-    """|v|^2; x*x is |x|*|x| for a float64 x, and a complex abs is a hypot."""
-    if v.dtype != np.float64:
-        v = out = np.abs(v, out=out)
-    return np.square(v, out=out)
 
 
 def rising_exponential_pulse(grid: TimeGrid, tau_amp, t_cut) -> Waveform:

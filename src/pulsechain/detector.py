@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .waveform import Waveform, _filter_real
+from .waveform import Waveform, _abs2, _filter_real, one_pole_lowpass
 
 
 @dataclass(frozen=True)
@@ -39,32 +39,14 @@ def detect(field: Waveform, d: DetectorParams) -> Waveform:
     Hermitian, so the filter is :func:`~pulsechain.waveform._filter_real`,
     which writes the filtered trace over the power it has transformed.
     """
-    power = np.abs(field.samples)
-    np.square(power, out=power)
+    power = _abs2(field.samples)
     if d.responsivity != 1.0:  # x * 1.0 is x, bit for bit
         np.multiply(d.responsivity, power, out=power)
-    bws = [bw for bw in (d.bandwidth_hz, d.scope_bandwidth_hz)
-           if np.isfinite(bw)]
+    bws = [bw for bw in (d.bandwidth_hz, d.scope_bandwidth_hz) if bw < np.inf]
     if bws:
-        _filter_real(power, field.grid.dt, lambda f: _pole_product(f, bws),
-                     out=power)
+        _filter_real(power, field.grid.dt, one_pole_lowpass(*bws), out=power)
     power.flags.writeable = False
     return Waveform(grid=field.grid, samples=power, unit="V")
-
-
-def _pole_product(f, bandwidths):
-    """``math.prod`` of the one-pole responses 1 / (1 + i f/bw), bit for
-    bit: numpy divides by a real bw as Smith's method does, multiplying by
-    1/bw, so 1 + i f/bw is built in real arithmetic (the sign of a zero
-    imaginary part aside, which 1/p drops), and the rest in place."""
-    h = None
-    for bw in bandwidths:
-        p = np.empty(np.shape(f), complex)
-        p.real = 1.0
-        np.multiply(f, 1.0 / bw, out=p.imag)
-        np.divide(1.0, p, out=p)
-        h = p if h is None else np.multiply(h, p, out=h)
-    return h
 
 
 def undershoot_fraction(detected: Waveform):

@@ -231,13 +231,13 @@ def run_chain(cfg: ChainConfig, outdir=None) -> RunReport:
     f_s, rf_window = fe.f_s, fe.rf_window
 
     stack = cfg.etalon
-    if cfg.apply_temp_jitter:
-        stack = with_thermal_jitter(stack, np.random.default_rng(cfg.seed))
+    if cfg.apply_temp_jitter:  # a draw that overflows is the etalon's refusal
+        stack = _stage("etalon", lambda: with_thermal_jitter(
+            cfg.etalon, np.random.default_rng(cfg.seed)))
     diag = _stage("etalon", lambda: stage_diagnostics(stack, -f_s))
     # a +1 sideband no stronger than the carrier leaking through a cascade
-    # that rejects the carrier leaves no pulse: the drive is empty.  (Where
-    # the cascade passes the carrier at half its sideband transmission or
-    # more, the etalon, not the drive, sets the leak; its block reports it.)
+    # that passes the carrier at under half its sideband transmission leaves
+    # no pulse: the drive is too weak, or the cascade too weak a filter
     j1, j0 = abs(fe.eom["sideband_j1"]), abs(fe.eom["carrier_j0"])
     t_carrier = 10.0 ** (-diag["cascade_extinction_db"] / 20.0)
     leak = j0 * t_carrier
@@ -247,7 +247,8 @@ def run_chain(cfg: ChainConfig, outdir=None) -> RunReport:
             "eom", f"the +1 sideband J1 = {j1:.3g} is not above the carrier "
             f"J0*|T(-f_S)| = {leak:.3g} that leaks through the cascade: the "
             "drive that [eom] drive_scale, [eom] v_pi_v and [mixer] "
-            "conversion_gain set leaves no pulse")
+            "conversion_gain set leaves no pulse, or the cascade that "
+            "[etalon] reflectivity, fsr_ghz and n_stages set passes it")
     filtered = _stage("etalon", lambda: _filter_spectrum(
         fe.sideband, grid, "sqrtW", stack, pre_gain=sideband_window(f_s)))
     ring_amp = float(max(photon_lifetime(e) for e in stack.stages))

@@ -191,11 +191,32 @@ def from_spectrum(s: Spectrum, t_start=0.0) -> Waveform:
     return _inverse(s.amplitudes, grid)
 
 
-def one_pole_lowpass(f_c):
-    """First-order low-pass response H(f) = 1 / (1 + i f / f_c)."""
-    if not (f_c > 0):
+def one_pole_lowpass(*corners):
+    """First-order low-pass response H(f) = 1 / (1 + i f / f_c), or the
+    product of one pole per corner f_c, in place in the order given.  Each is
+    the complex expression bit for bit: numpy divides by a real f_c as Smith's
+    method does, multiplying by 1/f_c, so 1 + i f/f_c is built in real
+    arithmetic (the sign of a zero imaginary part aside, which 1/p drops)."""
+    if not (corners and all(f_c > 0 for f_c in corners)):
         raise ValidationError("one_pole_lowpass needs f_c > 0")
-    return lambda f: 1.0 / (1.0 + 1j * f / f_c)
+
+    def response(f):
+        h = None
+        for f_c in corners:
+            p = np.empty(np.shape(f), complex)
+            p.real = 1.0
+            np.multiply(f, 1.0 / f_c, out=p.imag)
+            np.divide(1.0, p, out=p)
+            h = p if h is None else np.multiply(h, p, out=h)
+        return h
+    return response
+
+
+def _abs2(v, out=None):
+    """|v|^2; x*x is |x|*|x| for a float64 x, and a complex abs is a hypot."""
+    if v.dtype != np.float64:
+        v = out = np.abs(v, out=out)
+    return np.square(v, out=out)
 
 
 _BINS = 1 << 14  # bins per block of a spectral gain: O(block) temporaries

@@ -123,7 +123,7 @@ A_DAMPED = complex(-1.25e10, 0.0)              # 2*dt*a = -2.5
 def excite_scan(xi, dt, a, b):
     """The amplitude trace of the scan for a complex drive, in one array."""
     xi = np.asarray(xi, dtype=np.complex128)
-    return np.concatenate(list(atom._scan_pieces(xi, dt, a, b)))
+    return np.concatenate(list(atom._scan_pieces(xi, dt, a, b, 1.0)))
 
 
 def block_length(a, dt, m):

@@ -207,6 +207,21 @@ class TestCompareShapes:
         with pytest.raises(ValidationError):
             compare_shapes(0.0, AtomParams(gamma=GAMMA))
 
+    @pytest.mark.parametrize("tau", [5.4e-9, 10e-9, 27e-9, 52.4e-9, 80e-9,
+                                     135e-9])
+    def test_closed_forms(self, tau):
+        # with x = gamma*tau/2, a truncated rising exponential peaks at
+        # 4x/(1+x)^2 and a falling one at (4/x) x^(-2/(x-1)), whose limit at
+        # x = 1 is 4/e^2; the scan holds both within (dt/tau)^2/2
+        x = GAMMA * tau / 2.0
+        rising = 4.0 * x / (1.0 + x) ** 2
+        falling = (P_FALLING if abs(x - 1.0) < 1e-9
+                   else (4.0 / x) * x ** (-2.0 / (x - 1.0)))
+        p_r, p_f = compare_shapes(tau, AtomParams(gamma=GAMMA))
+        bound = (DT / tau) ** 2 / 2.0
+        assert abs(p_r - rising) <= bound
+        assert abs(p_f - falling) <= bound
+
     def test_coarse_matched_pair_runs(self):
         p_r, p_f = compare_shapes(2.0 / GAMMA, AtomParams(gamma=GAMMA),
                                   dt=60e-9)
@@ -256,7 +271,7 @@ def bits(x):
     return np.ascontiguousarray(x).view(np.int64)
 
 
-def pieces(x, a, scale=None):
+def pieces(x, a, scale=1.0):  # x * 1.0 is x, bit for bit
     return list(atom_mod._scan_pieces(x, DT, *atom_mod._amplitude_coefs(a),
                                       scale=scale))
 
@@ -330,23 +345,55 @@ class TestRealScan:
             np.dtype(np.complex128)}
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-    def test_step_powers_read_only_and_prefix_stable(self, monkeypatch, dtype):
-        monkeypatch.setattr(atom_mod, "_POWERS", {})
-        p2 = atom_mod._step_coeffs(2.0 * DT, complex(-GAMMA / 2.0, -0.0),
-                                   1.0)[0]
-        p2 = p2.real if dtype is np.float64 else p2
+    def test_step_powers_read_only_and_prefix_stable(self, dtype):
+        # the memo's tables are min(_GROUP, 8/(gamma*dt)) steps long, and
+        # each block's prefix is the table the scan built per call
+        a, b = atom_mod._amplitude_coefs(AtomParams(gamma=GAMMA))
+        coefs = atom_mod._scan_coeffs(DT, a, b, dtype is np.float64)
+        assert coefs[0] is dtype
+        p2, tables = coefs[5], coefs[-1]
 
         def built(b):  # the table at length b, as the scan built it per call
             pw = np.exp(np.log(complex(p2)) * np.arange(1.0, b + 1))
             return [t.real if dtype is np.float64 else t for t in (pw, 1 / pw)]
 
-        for b in (1, 69, 2096, 700, 2095):  # grows, then slices
-            tables = atom_mod._step_powers(p2, dtype, b)
+        assert [len(t) for t in tables] == [2096] * 2
+        for b in (1, 69, 700, 2095, 2096):
             for got, want in zip(tables, built(b)):
                 assert got.dtype == dtype and not got.flags.writeable
-                assert np.array_equal(bits(got), bits(np.ascontiguousarray(
-                    want)))
-        assert [len(t) for t in atom_mod._POWERS[(p2, dtype)]] == [2096] * 2
+                assert np.array_equal(bits(got[:b]), bits(
+                    np.ascontiguousarray(want)))
+
+    @pytest.mark.parametrize("gamma, length", [(GAMMA / 100, atom_mod._GROUP),
+                                               (2.5e10, 3), (5e10, None)])
+    def test_step_powers_bounded_by_the_group(self, gamma, length):
+        # a slow atom's tables stop at _GROUP steps, so the memo's entries
+        # hold 2 MiB at most, and a fast atom's blocks are one step: none
+        a, b = atom_mod._amplitude_coefs(AtomParams(gamma=gamma))
+        tables = atom_mod._scan_coeffs(DT, a, b, False)[-1]
+        if length is None:
+            assert tables is None
+            return
+        assert [len(t) for t in tables] == [length] * 2
+        entries = atom_mod._scan_coeffs.cache_info().maxsize
+        assert entries * sum(t.nbytes for t in tables) <= 2 << 20
+
+    @pytest.mark.parametrize("n", [2 * atom_mod._GROUP + 11,
+                                   2 * atom_mod._GROUP + 12])
+    def test_block_past_the_group_gets_its_own_tables(self, n):
+        # one block of more than _GROUP steps: a real drive still equals a
+        # complex one, and the memo keeps its _GROUP-step tables
+        x = drive("noise", n)
+        a = AtomParams(gamma=GAMMA / 100)
+        grid = TimeGrid(0.0, DT, n)
+        p_real = _probability_trace(Waveform(grid=grid, samples=x), a)
+        p_cplx = _probability_trace(
+            Waveform(grid=grid, samples=x.astype(np.complex128)), a)
+        assert np.array_equal(bits(p_real), bits(p_cplx))
+        coefs = atom_mod._amplitude_coefs(a)
+        for real in (True, False):
+            tables = atom_mod._scan_coeffs(DT, *coefs, real)[-1]
+            assert [len(t) for t in tables] == [atom_mod._GROUP] * 2
 
 
 def where_pulse(grid, tau, edge, rising):

@@ -169,7 +169,7 @@ def group_steps(a, dt):
 def excite_scan(xi, dt, a, b):
     """The amplitude trace of the scan for a complex drive, in one array."""
     xi = np.asarray(xi, dtype=np.complex128)
-    return np.concatenate(list(atom._scan_pieces(xi, dt, a, b)))
+    return np.concatenate(list(atom._scan_pieces(xi, dt, a, b, 1.0)))
 
 
 def unstreamed(monkeypatch, fn, *args):

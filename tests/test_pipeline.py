@@ -170,17 +170,23 @@ class TestSpecialConfigs:
                            match=r"stage 'eom' \(config .*\[mixer\].*5\*v_pi"):
             run_chain(cfg)
 
-    @pytest.mark.parametrize("text", ["[eom]\nv_pi_v = 1e300\n",
-                                      "[eom]\ndrive_scale = 1e-300\n"])
-    def test_empty_modulator_setting_aborts_naming_the_drive_keys(self, text):
+    @pytest.mark.parametrize("text, leak", [
+        ("[eom]\nv_pi_v = 1e300\n", "0.000813"),
+        ("[eom]\ndrive_scale = 1e-300\n", "0.000813"),
+        ("[etalon]\nreflectivity = 0.5\n", "0.482")])
+    def test_empty_modulator_setting_aborts_naming_the_drive_keys(self, text,
+                                                                  leak):
         # J1 = 2.7e-301 against a carrier leak J0*|T(-f_S)| = 8.1e-4: the
-        # "pulse" would be carrier leaking through the cascade
+        # "pulse" would be carrier leaking through the cascade.  A weak
+        # cascade (J1 = 0.157 against a leak of 0.482) ends the same way,
+        # so the refusal names the etalon keys as well
         with pytest.raises(ValidationError) as err:
             run_chain(parse_config(text))
         msg = str(err.value)
-        assert msg.startswith("stage 'eom'") and "J0*|T(-f_S)| = 0.000813" in msg
+        assert msg.startswith("stage 'eom'") and f"J0*|T(-f_S)| = {leak}" in msg
         for key in ("[eom] drive_scale", "[eom] v_pi_v",
-                    "[mixer] conversion_gain"):
+                    "[mixer] conversion_gain", "[etalon] reflectivity",
+                    "fsr_ghz", "n_stages"):
             assert key in msg
 
     def test_weak_drive_above_the_leak_still_runs(self, report):

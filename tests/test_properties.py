@@ -98,6 +98,8 @@ def names_a_key(msg):
 @given(configs())
 @example({("etalon", "temp_jitter_mk"): "-0.0",  # numpy refused sigma -0.0
           ("etalon", "apply_temp_jitter"): "true"})
+@example({("etalon", "temp_jitter_mk"): "1e308",  # a draw that overflows
+          ("etalon", "apply_temp_jitter"): "true"})
 def test_every_key_validates_or_reports(draw):
     # a parse-time refusal names a key of its section; a stage's run-time
     # refusal names the stage and its sections; anything else is a

@@ -744,12 +744,15 @@ class TestTraceIOOracle:
             tracemalloc.start()
             try:
                 w = read_trace(path)
-                peak = tracemalloc.get_traced_memory()[1]
+                kept, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             assert w.grid.n_samples == n and w.samples.dtype == dtype
             # held whole with its lines, the complex file made an 18 MB peak
             assert peak <= bound, header
+            # the waveform keeps its samples alone: not the packed table
+            # they were copied from, and no second copy
+            assert kept <= 1.05 * w.samples.nbytes, header
 
 
 @pytest.fixture

@@ -159,7 +159,7 @@ def _scan_pieces(x, dt, a, b, scale):
     m = (n - 1) // 2  # full 2*dt steps
     gamma_dt = -2.0 * a.real * dt  # = -ln|p2|
     block = m if gamma_dt * m <= 8.0 else max(1, int(8.0 / gamma_dt))
-    if block > 1 and len(powers[0] if powers else ()) < block:
+    if block > 1 and len(powers[0]) < block:  # powers is None at block 1
         powers = _step_powers(p2, dtype, block)  # a block past the memo's
     pw, ipw = ((t[:block] for t in powers) if block > 1
                else (np.full(1, p2, dtype=dtype), None))
